@@ -20,16 +20,12 @@ __all__ = [
     "EnvelopeCheck",
     "FitWindowError",
     "compute_constants",
-    "pairwise_gap",
+    "pairwise_gaps",
     "fit_decay_rate",
     "estimate_async_degree",
     "check_absorbing_envelope",
     "estimate_gn_constant",
 ]
-
-# interpolation index theta(n) = n/4 for the L4-H1-L2 interpolation
-THETA_BY_DIM = {1: 0.25, 2: 0.5, 3: 0.75}
-
 
 class FitWindowError(ValueError):
     """Too few usable samples remain after transient and floor trimming."""
@@ -119,19 +115,18 @@ def compute_constants(p, omega_measure, cstar=1.0):
     )
 
 
-def pairwise_gap(net, g, i, j):
-    """Squared E-norm gap ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2."""
-    if i == j:
-        raise ValueError("pairwise gap needs two distinct neurons")
-    if not (0 <= i < net.m and 0 <= j < net.m):
-        raise IndexError("neuron index out of range")
-    si, sj = net.neurons[i], net.neurons[j]
-    return (
-        norm_l2(si.u - sj.u, g) ** 2
-        + norm_l2(si.v - sj.v, g) ** 2
-        + norm_l2(si.w - sj.w, g) ** 2
-        + norm_l2(si.rho - sj.rho, g) ** 2
-    )
+def pairwise_gaps(x, g):
+    """Squared E-norm gaps ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
+
+    One per pair i < j of the (m, 4, *cells) state x, in the order (0, 1),
+    (0, 2), ..., (m-2, m-1).  The pairs of one i are computed as one block,
+    so temporaries stay O(m * cells).
+    """
+    gaps = []
+    for i in range(x.shape[0] - 1):
+        norms = norm_l2(x[i] - x[i + 1:], g).tolist()
+        gaps += [u ** 2 + v ** 2 + w ** 2 + rho ** 2 for u, v, w, rho in norms]
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,7 @@ def estimate_gn_constant(g, n_samples=64, seed=0, smoothing_time=2e-3):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    theta = THETA_BY_DIM[g.dim]
+    theta = g.dim / 4.0
     h_min = min(g.spacing)
     passes = max(1, int(round(smoothing_time / (h_min * h_min / 8.0))))
     rng = np.random.default_rng(seed)
@@ -240,11 +235,12 @@ def estimate_gn_constant(g, n_samples=64, seed=0, smoothing_time=2e-3):
     for _ in range(n_samples):
         f = rng.uniform(-1.0, 1.0, size=g.shape)
         f = smooth_field(f, g, passes)
-        grad = seminorm_h1(f, g)
-        l2 = norm_l2(f, g)
+        grad = float(seminorm_h1(f, g))
+        l2 = float(norm_l2(f, g))
         if grad <= 1e-14 * max(l2, 1.0):
             continue
-        ratio = norm_l4(f, g) ** 2 / (grad ** (2 * theta) * l2 ** (2 * (1 - theta)))
+        l4 = float(norm_l4(f, g))
+        ratio = l4 ** 2 / (grad ** (2 * theta) * l2 ** (2 * (1 - theta)))
         if best is None or ratio > best:
             best = ratio
     if best is None:

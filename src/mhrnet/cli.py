@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -34,6 +35,20 @@ class ConfigError(Exception):
     pass
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e-4 and 1.0e5.
+
+    YAML 1.1 needs a dot and a signed exponent, so it reads those as strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path=None):
     """Load a YAML config; None loads the packaged all-ones default."""
     if path is None:
@@ -44,7 +59,7 @@ def load_config(path=None):
             raise ConfigError("config file not found: %s" % path)
         text = path.read_text()
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
         raise ConfigError("malformed config: %s" % err) from err
     if not isinstance(cfg, dict):
@@ -60,7 +75,7 @@ def apply_overrides(cfg, pairs):
         dotted, raw = item.split("=", 1)
         keys = dotted.strip().split(".")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as err:
             raise ConfigError("cannot parse override value %r: %s" % (raw, err)) from err
         node = cfg

@@ -1,7 +1,10 @@
 """Cell-centered rectangular grids, the Neumann Laplacian, and norms.
 
-Fields are plain numpy arrays whose shape equals ``grid.cells`` (row-major
-cell-center samples).  All quadrature is the midpoint rule.
+Fields are plain numpy arrays whose trailing axes equal ``grid.cells``
+(row-major cell-center samples); any leading axes index a stack of fields,
+such as the (m, 4) neurons and components of a network state.  Every
+operator here acts on the trailing grid axes only.  All quadrature is the
+midpoint rule.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,6 @@ __all__ = [
     "norm_l2",
     "norm_l4",
     "seminorm_h1",
-    "quasi_norm",
     "energy_functional",
     "smooth_field",
 ]
@@ -84,9 +86,9 @@ class Grid:
 
 def _check_field(f, g):
     f = np.asarray(f, dtype=float)
-    if f.shape != g.shape:
+    if f.shape[f.ndim - g.dim:] != g.shape:
         raise InvalidFieldError(
-            "field shape %s does not match grid %s" % (f.shape, g.shape)
+            "field shape %s does not end in grid %s" % (f.shape, g.shape)
         )
     return f
 
@@ -98,8 +100,10 @@ def laplacian_neumann(f, g):
     value), so the sum of the output over all cells telescopes to zero.
     """
     f = _check_field(f, g)
+    lead = f.ndim - g.dim
     out = np.zeros_like(f)
-    for axis, h in enumerate(g.spacing):
+    for k, h in enumerate(g.spacing):
+        axis = lead + k
         pad = [(1, 1) if a == axis else (0, 0) for a in range(f.ndim)]
         p = np.pad(f, pad, mode="edge")
         lo = [slice(None)] * f.ndim
@@ -110,53 +114,55 @@ def laplacian_neumann(f, g):
     return out
 
 
+def _integral(f, g):
+    """Midpoint-rule integral over the grid axes, one value per leading index.
+
+    The grid axes are summed as one flat row, which is how numpy sums a
+    single contiguous field.
+    """
+    return np.sum(f.reshape(f.shape[:f.ndim - g.dim] + (-1,)), axis=-1) * g.cell_volume
+
+
 def norm_l2(f, g):
-    """Midpoint-rule L2 norm."""
+    """Midpoint-rule L2 norm, one per leading index."""
     f = _check_field(f, g)
-    return float(np.sqrt(np.sum(f * f) * g.cell_volume))
+    return np.sqrt(_integral(f * f, g))
 
 
 def norm_l4(f, g):
-    """Midpoint-rule L4 norm."""
+    """Midpoint-rule L4 norm, one per leading index."""
     f = _check_field(f, g)
-    return float(np.sum(f ** 4) * g.cell_volume) ** 0.25
+    s = _integral(f ** 4, g)
+    # the fourth root is taken as a Python float: numpy's vectorized power
+    # rounds differently in the last bit
+    return np.reshape([v ** 0.25 for v in np.ravel(s).tolist()], np.shape(s))
 
 
 def seminorm_h1(f, g):
     """L2 norm of the central-difference gradient (one-sided at boundaries)."""
     f = _check_field(f, g)
     acc = np.zeros_like(f)
-    for axis, h in enumerate(g.spacing):
-        d = np.gradient(f, h, axis=axis, edge_order=1)
+    for k, h in enumerate(g.spacing):
+        d = np.gradient(f, h, axis=f.ndim - g.dim + k, edge_order=1)
         acc += d * d
-    return float(np.sqrt(np.sum(acc) * g.cell_volume))
+    return np.sqrt(_integral(acc, g))
 
 
-def quasi_norm(net, g):
-    """Mixed-power functional sum_i (||u||^2 + ||v||^2 + ||w||^2 + ||rho||_L4^4)."""
-    total = 0.0
-    for s in net.neurons:
-        total += (
-            norm_l2(s.u, g) ** 2
-            + norm_l2(s.v, g) ** 2
-            + norm_l2(s.w, g) ** 2
-            + norm_l4(s.rho, g) ** 4
-        )
-    return total
+def energy_functional(x, g, c1=1.0):
+    """sum_i (c1 ||u_i||^2 + ||v_i||^2 + ||w_i||^2 + ||rho_i||_L4^4) of a state.
 
-
-def energy_functional(net, g, c1):
-    """Weighted variant sum_i (c1 ||u||^2 + ||v||^2 + ||w||^2 + ||rho||_L4^4)."""
+    x has shape (m, 4, *cells) with components (u, v, w, rho); c1 = 1 gives
+    the mixed-power quasi-norm.  The per-neuron terms are summed in Python
+    floats in neuron order, so the value does not depend on how numpy
+    groups a reduction.
+    """
     if c1 <= 0:
         raise ValueError("c1 must be positive")
+    l2 = norm_l2(x[:, :3], g).tolist()
+    l4 = norm_l4(x[:, 3], g).tolist()
     total = 0.0
-    for s in net.neurons:
-        total += (
-            c1 * norm_l2(s.u, g) ** 2
-            + norm_l2(s.v, g) ** 2
-            + norm_l2(s.w, g) ** 2
-            + norm_l4(s.rho, g) ** 4
-        )
+    for (u, v, w), rho in zip(l2, l4):
+        total += c1 * u ** 2 + v ** 2 + w ** 2 + rho ** 4
     return total
 
 

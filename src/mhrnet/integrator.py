@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grid import quasi_norm
-from .model import NetworkState, NeuronState, full_rhs, reaction_rhs
+from .grid import energy_functional
+from .model import NetworkState, full_rhs, reaction_rhs
 
 __all__ = [
     "IntegratorConfig",
@@ -75,32 +75,16 @@ def stability_limit(g, p):
     return h_min * h_min / (2.0 * g.dim * max(p.eta1, p.eta2))
 
 
-def _axpy(base, tend, c):
-    """base + c * tend over every component of a network state."""
-    neurons = [
-        NeuronState(s.u + c * k.u, s.v + c * k.v, s.w + c * k.w, s.rho + c * k.rho)
-        for s, k in zip(base.neurons, tend.neurons)
-    ]
-    return NetworkState(neurons, base.t)
-
-
 def step_rk4(net, p, g, dt):
     """Classical 4-stage Runge-Kutta step on the full right-hand side."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    k1 = full_rhs(net, p, g)
-    k2 = full_rhs(_axpy(net, k1, dt / 2.0), p, g)
-    k3 = full_rhs(_axpy(net, k2, dt / 2.0), p, g)
-    k4 = full_rhs(_axpy(net, k3, dt), p, g)
-    neurons = []
-    for s, a, b, c, d in zip(net.neurons, k1.neurons, k2.neurons, k3.neurons, k4.neurons):
-        neurons.append(NeuronState(
-            s.u + dt / 6.0 * (a.u + 2.0 * b.u + 2.0 * c.u + d.u),
-            s.v + dt / 6.0 * (a.v + 2.0 * b.v + 2.0 * c.v + d.v),
-            s.w + dt / 6.0 * (a.w + 2.0 * b.w + 2.0 * c.w + d.w),
-            s.rho + dt / 6.0 * (a.rho + 2.0 * b.rho + 2.0 * c.rho + d.rho),
-        ))
-    return NetworkState(neurons, net.t + dt)
+    x = net.x
+    k1 = full_rhs(x, p, g)
+    k2 = full_rhs(x + dt / 2.0 * k1, p, g)
+    k3 = full_rhs(x + dt / 2.0 * k2, p, g)
+    k4 = full_rhs(x + dt * k3, p, g)
+    return NetworkState(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), net.t + dt)
 
 
 def _band_matrix(n, s):
@@ -117,67 +101,52 @@ def _band_matrix(n, s):
 def diffusion_step_be(f, g, eta, dt):
     """One backward-Euler diffusion step (I - dt*eta*L) f_new = f.
 
-    In 2D the operator is factored into alternating-direction sweeps.  The
-    implicit matrix is strictly diagonally dominant, so the solve cannot
-    fail.
+    f may carry leading axes; each grid axis is solved for all lines at
+    once, and in 2D the operator is factored into alternating-direction
+    sweeps.  The implicit matrix is strictly diagonally dominant, so the
+    solve cannot fail.
     """
     f = np.asarray(f, dtype=float)
-    if g.dim == 1:
-        h = g.spacing[0]
-        ab = _band_matrix(g.cells[0], dt * eta / (h * h))
-        return solve_banded((1, 1), ab, f)
-    out = f
-    for axis, h in enumerate(g.spacing):
-        ab = _band_matrix(g.cells[axis], dt * eta / (h * h))
-        b = out if axis == 0 else out.T
-        sol = solve_banded((1, 1), ab, b)
-        out = sol if axis == 0 else sol.T
-    return out
+    lead = f.ndim - g.dim
+    for k, h in enumerate(g.spacing):
+        ab = _band_matrix(g.cells[k], dt * eta / (h * h))
+        # with the solved axis last, every line is one column of the
+        # right-hand side, so one call solves them all; a right-hand side
+        # that reshape had to copy is ours to overwrite
+        lines = f.swapaxes(lead + k, -1)
+        rhs = lines.reshape(-1, g.cells[k])
+        sol = solve_banded((1, 1), ab, rhs.T, overwrite_b=not np.may_share_memory(rhs, f))
+        f = sol.T.reshape(lines.shape).swapaxes(lead + k, -1)
+    return f
 
 
-def _exact_coupling(fields, strength, dt):
-    """Exact solution of df_i/dt = strength * sum_j (f_j - f_i) over dt.
+def _exact_coupling(f, strength, dt):
+    """Exact solution of df_i/dt = strength * sum_j (f_j - f_i) over dt, for f[i].
 
     The neuron mean is invariant; deviations decay by exp(-m*strength*dt).
     A zero strength is an exact no-op.
     """
     if strength == 0.0:
-        return fields
-    m = len(fields)
-    mean = fields[0].copy()
-    for f in fields[1:]:
-        mean += f
-    mean /= m
-    decay = math.exp(-m * strength * dt)
-    return [mean + (f - mean) * decay for f in fields]
+        return f
+    mean = f.mean(axis=0)
+    return mean + (f - mean) * math.exp(-f.shape[0] * strength * dt)
 
 
 def step_imex(net, p, g, dt):
     """First-order IMEX step: explicit reaction, exact coupling, implicit diffusion."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    us, vs, ws, rhos = [], [], [], []
-    for s in net.neurons:
-        du, dv, dw, drho = reaction_rhs(s, p)
-        us.append(s.u + dt * du)
-        vs.append(s.v + dt * dv)
-        ws.append(s.w + dt * dw)
-        rhos.append(s.rho + dt * drho)
-    us = _exact_coupling(us, p.P, dt)
-    rhos = _exact_coupling(rhos, p.Q, dt)
-    neurons = []
-    for u, v, w, rho in zip(us, vs, ws, rhos):
-        u = diffusion_step_be(u, g, p.eta1, dt)
-        rho = diffusion_step_be(rho, g, p.eta2, dt)
-        neurons.append(NeuronState(u, v, w, rho))
-    return NetworkState(neurons, net.t + dt)
+    x = net.x + dt * reaction_rhs(net.x, p)
+    for k, strength, eta in ((0, p.P, p.eta1), (3, p.Q, p.eta2)):
+        x[:, k] = diffusion_step_be(_exact_coupling(x[:, k], strength, dt), g, eta, dt)
+    return NetworkState(x, net.t + dt)
 
 
 def _check_state(net, g):
     bad = net.first_nonfinite()
     if bad is not None:
         raise BlowUpError(net.t, neuron=bad[0], component=bad[1])
-    qn = quasi_norm(net, g)
+    qn = energy_functional(net.x, g)
     if qn > QUASI_NORM_CEILING:
         raise BlowUpError(net.t, detail="quasi-norm %.3g exceeds ceiling" % qn)
 

@@ -3,7 +3,8 @@
 The network couples m neuron cells all-to-all.  Each neuron carries four
 fields on one shared grid: membrane potential u, spiking variable v,
 bursting variable w, and memductance rho.  Only u and rho diffuse and only
-u and rho receive network coupling.
+u and rho receive network coupling.  The network state is one array of
+shape (m, 4, *cells) with the components in the order (u, v, w, rho).
 """
 
 from dataclasses import dataclass, fields
@@ -13,14 +14,16 @@ import numpy as np
 from .grid import InvalidFieldError, laplacian_neumann
 
 __all__ = [
+    "COMPONENTS",
     "Parameters",
-    "NeuronState",
     "NetworkState",
     "memductance",
     "reaction_rhs",
     "coupling_rhs",
     "full_rhs",
 ]
+
+COMPONENTS = ("u", "v", "w", "rho")
 
 _POSITIVE = (
     "a", "b", "eta1", "eta2", "alpha", "beta",
@@ -78,64 +81,35 @@ class Parameters:
 
 
 @dataclass
-class NeuronState:
-    """The quadruple (u, v, w, rho) of fields on one shared grid."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
-        self.rho = np.asarray(self.rho, dtype=float)
-        shape = self.u.shape
-        for name in ("v", "w", "rho"):
-            if getattr(self, name).shape != shape:
-                raise ValueError("component %r has shape mismatch" % name)
-
-    @property
-    def components(self):
-        return (("u", self.u), ("v", self.v), ("w", self.w), ("rho", self.rho))
-
-    def copy(self):
-        return NeuronState(self.u.copy(), self.v.copy(), self.w.copy(), self.rho.copy())
-
-
-@dataclass
 class NetworkState:
-    """States of all m neurons plus the current time."""
+    """The fields of all m neurons as one (m, 4, *cells) array, plus the time."""
 
-    neurons: list
+    x: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.neurons = list(self.neurons)
-        if not self.neurons:
+        self.x = np.asarray(self.x, dtype=float)
+        if self.x.ndim < 3 or self.x.shape[1] != len(COMPONENTS):
+            raise ValueError("state must have shape (m, 4, *cells), got %s" % (self.x.shape,))
+        if self.x.shape[0] < 1:
             raise ValueError("network must contain at least one neuron")
-        shape = self.neurons[0].u.shape
-        for s in self.neurons:
-            if s.u.shape != shape:
-                raise ValueError("all neurons must share one grid")
         if self.t < 0.0:
             raise ValueError("time must be nonnegative")
 
     @property
     def m(self):
-        return len(self.neurons)
+        return self.x.shape[0]
 
     def copy(self):
-        return NetworkState([s.copy() for s in self.neurons], self.t)
+        return NetworkState(self.x.copy(), self.t)
 
     def first_nonfinite(self):
         """(neuron index, component name) of the first non-finite entry, or None."""
-        for i, s in enumerate(self.neurons):
-            for name, arr in s.components:
-                if not np.isfinite(arr).all():
-                    return i, name
-        return None
+        finite = np.isfinite(self.x)
+        if finite.all():
+            return None
+        i, k = np.unravel_index(np.argmin(finite), finite.shape)[:2]
+        return int(i), COMPONENTS[k]
 
 
 def memductance(rho, p):
@@ -146,46 +120,40 @@ def memductance(rho, p):
     return p.c + p.gamma * rho + p.delta * rho * rho
 
 
-def reaction_rhs(s, p):
-    """Pointwise reaction tendencies of (u, v, w, rho).
+def reaction_rhs(x, p):
+    """Pointwise reaction tendencies of a (m, 4, *cells) state, same shape.
 
     Excludes diffusion and network coupling; non-finite values propagate.
     """
-    u, v, w, rho = s.u, s.v, s.w, s.rho
+    u, v, w, rho = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
     phi = p.c + p.gamma * rho + p.delta * rho * rho
-    du = p.a * u * u - p.b * u ** 3 + v - w + p.Je - p.k1 * phi * u
-    dv = p.alpha - p.beta * u * u - v
-    dw = p.q * (u - p.ue) - p.r * w
-    drho = u - p.k2 * rho
-    return du, dv, dw, drho
+    out = np.empty_like(x)
+    out[:, 0] = p.a * u * u - p.b * u ** 3 + v - w + p.Je - p.k1 * phi * u
+    out[:, 1] = p.alpha - p.beta * u * u - v
+    out[:, 2] = p.q * (u - p.ue) - p.r * w
+    out[:, 3] = u - p.k2 * rho
+    return out
 
 
-def coupling_rhs(net, i, p):
-    """All-to-all linear coupling terms for neuron i: (u-coupling, rho-coupling).
+def coupling_rhs(x, p):
+    """All-to-all linear coupling terms of every neuron: (u-coupling, rho-coupling).
 
-    The sums run over every j in a fixed index order (the j == i term is
-    identically zero), which makes cross-neuron reductions bitwise
-    reproducible and the synchronization manifold exactly invariant.
+    Each has shape (m, *cells).  Neuron i's sum runs over every j in index
+    order (the j == i term is identically zero): a reduction over the
+    leading axis of all m x m differences adds one j at a time, which makes
+    the terms bitwise reproducible and the synchronization manifold exactly
+    invariant.
     """
-    if not 0 <= i < net.m:
-        raise IndexError("neuron index %d out of range for m=%d" % (i, net.m))
-    ui = net.neurons[i].u
-    ri = net.neurons[i].rho
-    cu = np.zeros_like(ui)
-    cr = np.zeros_like(ri)
-    for s in net.neurons:
-        cu += s.u - ui
-        cr += s.rho - ri
+    u, rho = x[:, 0], x[:, 3]
+    cu = np.sum(u[:, None] - u[None, :], axis=0, initial=0.0)
+    cr = np.sum(rho[:, None] - rho[None, :], axis=0, initial=0.0)
     return p.P * cu, p.Q * cr
 
 
-def full_rhs(net, p, g):
-    """Complete tendency: reaction + coupling + diffusion, per neuron."""
-    out = []
-    for i, s in enumerate(net.neurons):
-        du, dv, dw, drho = reaction_rhs(s, p)
-        cu, cr = coupling_rhs(net, i, p)
-        du = du + cu + p.eta1 * laplacian_neumann(s.u, g)
-        drho = drho + cr + p.eta2 * laplacian_neumann(s.rho, g)
-        out.append(NeuronState(du, dv, dw, drho))
-    return NetworkState(out, net.t)
+def full_rhs(x, p, g):
+    """Complete tendency of a (m, 4, *cells) state: reaction + coupling + diffusion."""
+    out = reaction_rhs(x, p)
+    cu, cr = coupling_rhs(x, p)
+    out[:, 0] = out[:, 0] + cu + p.eta1 * laplacian_neumann(x[:, 0], g)
+    out[:, 3] = out[:, 3] + cr + p.eta2 * laplacian_neumann(x[:, 3], g)
+    return out

@@ -13,9 +13,9 @@ from mhrnet.analysis import (
     compute_constants,
     estimate_gn_constant,
     fit_decay_rate,
-    pairwise_gap,
+    pairwise_gaps,
 )
-from mhrnet.grid import Grid, quasi_norm
+from mhrnet.grid import Grid, energy_functional
 from mhrnet.harness import (
     ExperimentSpec,
     InitialCondition,
@@ -25,7 +25,6 @@ from mhrnet.harness import (
 from mhrnet.integrator import IntegratorConfig, integrate, step_imex, step_rk4
 from mhrnet.model import (
     NetworkState,
-    NeuronState,
     Parameters,
     coupling_rhs,
 )
@@ -61,18 +60,14 @@ def test_criterion_2_manifold_invariance():
     g = Grid((64,), (1.0,))
     p = Parameters(P=3.0, Q=2.0, m=3)
     rng = np.random.default_rng(42)
-    shared = NeuronState(*[
-        smooth_field(rng.uniform(-1.0, 1.0, size=g.shape), g, 2) for _ in range(4)
-    ])
-    net = NetworkState([shared.copy(), shared.copy(), shared.copy()], 0.0)
+    shared = smooth_field(rng.uniform(-1.0, 1.0, size=(4,) + g.shape), g, 2)
+    net = NetworkState(np.stack([shared] * 3), 0.0)
     cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=20.0, observe_every=100)
 
     worst = [0.0]
 
     def observer(t, state):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                worst[0] = max(worst[0], pairwise_gap(state, g, i, j))
+        worst[0] = max([worst[0]] + pairwise_gaps(state.x, g))
 
     integrate(net, p, g, cfg, observer)
     assert worst[0] <= 1e-12
@@ -96,12 +91,8 @@ def sync_run(tmp_path_factory):
     coupling_sums = []
 
     def conservation_observer(t, net):
-        su = np.zeros(g.shape)
-        sr = np.zeros(g.shape)
-        for i in range(net.m):
-            cu, cr = coupling_rhs(net, i, p)
-            su += cu
-            sr += cr
+        cu, cr = coupling_rhs(net.x, p)
+        su, sr = cu.sum(axis=0), cr.sum(axis=0)
         coupling_sums.append(max(np.max(np.abs(su)), np.max(np.abs(sr))))
 
     spec = ExperimentSpec(
@@ -154,7 +145,7 @@ def test_criterion_4_uncoupled_contrast():
         min_gap = [np.inf]
 
         def observer(t, state):
-            min_gap[0] = min(min_gap[0], pairwise_gap(state, g, 0, 1))
+            min_gap[0] = min(min_gap[0], pairwise_gaps(state.x, g)[0])
 
         integrate(net, p, g, cfg, observer)
         if min_gap[0] > 1e-2:
@@ -185,11 +176,11 @@ def test_criterion_5_absorbing_envelope():
             seed=seed,
         )
         net = generate_initial(spec, seed)
-        times, energies = [0.0], [quasi_norm(net, g)]
+        times, energies = [0.0], [energy_functional(net.x, g)]
 
         def observer(t, state):
             times.append(t)
-            energies.append(quasi_norm(state, g))
+            energies.append(energy_functional(state.x, g))
 
         integrate(net, p, g, cfg, observer)
         chk = check_absorbing_envelope(np.array(times), np.array(energies), dc)
@@ -204,21 +195,12 @@ def test_criterion_5_absorbing_envelope():
 
 def _smooth_net(g, m, seed, passes=3, amplitude=0.5):
     rng = np.random.default_rng(seed)
-    neurons = []
-    for _ in range(m):
-        neurons.append(NeuronState(*[
-            smooth_field(rng.uniform(-amplitude, amplitude, size=g.shape), g, passes)
-            for _ in range(4)
-        ]))
-    return NetworkState(neurons, 0.0)
+    x = rng.uniform(-amplitude, amplitude, size=(m, 4) + g.shape)
+    return NetworkState(smooth_field(x, g, passes), 0.0)
 
 
 def _max_diff(n1, n2):
-    out = 0.0
-    for s1, s2 in zip(n1.neurons, n2.neurons):
-        for (_, a), (_, b) in zip(s1.components, s2.components):
-            out = max(out, float(np.max(np.abs(a - b))))
-    return out
+    return float(np.max(np.abs(n1.x - n2.x)))
 
 
 def test_criterion_6_discretization_orders():
@@ -256,15 +238,14 @@ def test_criterion_6_discretization_orders():
     # ue = -(alpha + Je)/q, giving v(t) = alpha + (v0 - alpha) e^{-t}
     p = Parameters(r=1.0, ue=-2.0, P=0.0, Q=0.0)
     v0 = 0.25
-    net = NetworkState([
-        NeuronState(np.zeros(g.shape), np.full(g.shape, v0),
-                    np.full(g.shape, v0 + p.Je), np.zeros(g.shape))
-        for _ in range(2)
-    ], 0.0)
+    x = np.zeros((2, 4) + g.shape)
+    x[:, 1] = v0
+    x[:, 2] = v0 + p.Je
+    net = NetworkState(x, 0.0)
     for _ in range(1000):
         net = step_rk4(net, p, g, 1e-3)
     exact = p.alpha + (v0 - p.alpha) * np.exp(-1.0)
-    assert np.max(np.abs(net.neurons[0].v - exact)) <= 1e-10
+    assert np.max(np.abs(net.x[0, 1] - exact)) <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +272,7 @@ def test_criterion_7_determinism_and_equivariance(tmp_path):
     cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=5.0, observe_every=100)
     net = _smooth_net(g, 3, seed=10)
     perm = [2, 0, 1]
-    pnet = NetworkState([net.neurons[k].copy() for k in perm], 0.0)
+    pnet = NetworkState(net.x[perm], 0.0)
 
     samples, psamples = [], []
     integrate(net.copy(), p, g, cfg, lambda t, s: samples.append(s.copy()))
@@ -299,6 +280,4 @@ def test_criterion_7_determinism_and_equivariance(tmp_path):
     assert len(samples) == len(psamples)
     for s, ps in zip(samples, psamples):
         for new_i, old_i in enumerate(perm):
-            for (_, x), (_, y) in zip(ps.neurons[new_i].components,
-                                      s.neurons[old_i].components):
-                assert np.max(np.abs(x - y)) <= 1e-13
+            assert np.max(np.abs(ps.x[new_i] - s.x[old_i])) <= 1e-13

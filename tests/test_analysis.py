@@ -8,10 +8,10 @@ from mhrnet.analysis import (
     estimate_async_degree,
     estimate_gn_constant,
     fit_decay_rate,
-    pairwise_gap,
+    pairwise_gaps,
 )
-from mhrnet.grid import Grid
-from mhrnet.model import NetworkState, NeuronState, Parameters
+from mhrnet.grid import Grid, norm_l2
+from mhrnet.model import Parameters
 
 
 def rel_err(got, want):
@@ -85,37 +85,37 @@ class TestConstants:
         assert d["cstar"] == 1.5
 
 
-def make_net(g, values):
+def make_state(g, values):
     """values: list of per-neuron (u, v, w, rho) constants."""
-    neurons = []
-    for u, v, w, rho in values:
-        neurons.append(NeuronState(
-            np.full(g.shape, float(u)), np.full(g.shape, float(v)),
-            np.full(g.shape, float(w)), np.full(g.shape, float(rho)),
-        ))
-    return NetworkState(neurons, 0.0)
+    values = np.asarray(values, dtype=float)
+    return np.broadcast_to(values.reshape(values.shape + (1,) * g.dim),
+                           values.shape + g.shape).copy()
 
 
 class TestPairwiseGap:
     def test_constant_offset_oracle(self):
         # u differs by 2, rho by 1 on a unit domain: gap = 4 + 1 = 5
         g = Grid((32,), (1.0,))
-        net = make_net(g, [(0, 0, 0, 0), (2, 0, 0, 1)])
-        assert pairwise_gap(net, g, 0, 1) == pytest.approx(5.0)
+        x = make_state(g, [(0, 0, 0, 0), (2, 0, 0, 1)])
+        assert pairwise_gaps(x, g) == [pytest.approx(5.0)]
 
     def test_symmetry_and_zero(self):
         g = Grid((32,), (1.0,))
-        net = make_net(g, [(0.3, 1, -1, 0.5), (0.1, 0, 2, 0.5), (0.3, 1, -1, 0.5)])
-        assert pairwise_gap(net, g, 0, 1) == pytest.approx(pairwise_gap(net, g, 1, 0))
-        assert pairwise_gap(net, g, 0, 2) == 0.0
+        x = make_state(g, [(0.3, 1, -1, 0.5), (0.1, 0, 2, 0.5), (0.3, 1, -1, 0.5)])
+        gap_01, gap_02, gap_12 = pairwise_gaps(x, g)
+        assert pairwise_gaps(x[[1, 0, 2]], g)[0] == pytest.approx(gap_01)
+        assert gap_12 == pytest.approx(gap_01)
+        assert gap_02 == 0.0
 
-    def test_bad_indices(self):
-        g = Grid((32,), (1.0,))
-        net = make_net(g, [(0, 0, 0, 0), (1, 0, 0, 0)])
-        with pytest.raises(ValueError):
-            pairwise_gap(net, g, 1, 1)
-        with pytest.raises(IndexError):
-            pairwise_gap(net, g, 0, 2)
+    def test_pair_order_and_per_pair_formula(self):
+        g = Grid((8, 6), (1.0, 2.0))
+        x = np.random.default_rng(3).normal(size=(5, 4) + g.shape)
+        want = []
+        for i in range(5):
+            for j in range(i + 1, 5):
+                u, v, w, rho = norm_l2(x[i] - x[j], g).tolist()
+                want.append(u ** 2 + v ** 2 + w ** 2 + rho ** 2)
+        assert pairwise_gaps(x, g) == want
 
 
 class TestFitDecayRate:

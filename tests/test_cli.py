@@ -1,9 +1,11 @@
 import json
+from importlib import resources
 
+import numpy as np
 import pytest
 import yaml
 
-from mhrnet.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, load_config, main
+from mhrnet.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_spec, load_config, main
 
 
 def write_config(tmp_path, overrides=None):
@@ -96,6 +98,30 @@ class TestSimulate:
     def test_bad_override_value(self, capsys):
         assert main(["simulate", "-s", "parameters.b=-1"]) == EXIT_CONFIG
         assert main(["simulate", "-s", "no-equals-sign"]) == EXIT_CONFIG
+
+    def test_exponent_float_override(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-4 (no dot) as a string
+        code = main(["simulate", "-s", "integrator.dt=1e-4", "-s", "integrator.t_end=1e-3",
+                     "-s", "grid.cells=[16]", "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["spec"]["integrator"]["dt"] == 1e-4
+
+    def test_exponent_float_in_config_file(self, tmp_path):
+        text = resources.files("mhrnet").joinpath("data/default.yaml").read_text()
+        assert "dt: 1.0e-3" in text
+        path = tmp_path / "c.yaml"
+        path.write_text(text.replace("dt: 1.0e-3", "dt: 1e-4"))
+        assert build_spec(load_config(path)).config.dt == 1e-4
+
+    def test_nonfinite_initial_state_file(self, tmp_path, capsys):
+        path = tmp_path / "ic.npz"
+        np.savez(path, state=np.full((2, 4, 16), np.nan))
+        code = main(["simulate", "-s", "grid.cells=[16]", "-s", "initial.mode=from-file",
+                     "-s", "initial.path=%s" % path, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
 
 
 class TestSweep:

@@ -8,11 +8,9 @@ from mhrnet.grid import (
     laplacian_neumann,
     norm_l2,
     norm_l4,
-    quasi_norm,
     seminorm_h1,
     smooth_field,
 )
-from mhrnet.model import NetworkState, NeuronState
 
 
 def unit_grid(n=64, dim=1):
@@ -120,36 +118,52 @@ def test_quadrature_second_order_convergence():
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
-def make_net(g, m, value=1.0):
-    s = NeuronState(*(np.full(g.shape, value) for _ in range(4)))
-    return NetworkState([s.copy() for _ in range(m)], 0.0)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_fields_match_single_fields(dim):
+    # leading axes index independent fields, each computed as if alone
+    g = unit_grid(16, dim)
+    f = np.random.default_rng(4).normal(size=(3, 4) + g.shape)
+    lap, l2, l4, h1 = (laplacian_neumann(f, g), norm_l2(f, g), norm_l4(f, g),
+                       seminorm_h1(f, g))
+    assert l2.shape == l4.shape == h1.shape == (3, 4)
+    for i in range(3):
+        for k in range(4):
+            assert np.array_equal(lap[i, k], laplacian_neumann(f[i, k], g))
+            assert l2[i, k] == norm_l2(f[i, k], g)
+            assert l4[i, k] == norm_l4(f[i, k], g)
+            assert h1[i, k] == seminorm_h1(f[i, k], g)
+
+
+def make_state(g, m, value=1.0):
+    return np.full((m, 4) + g.shape, value)
 
 
 def test_quasi_norm_examples():
+    # the quasi-norm is the energy functional with c1 = 1
     g = unit_grid()
-    assert quasi_norm(make_net(g, 2, 0.0), g) == 0.0
-    assert quasi_norm(make_net(g, 2, 1.0), g) == pytest.approx(8.0)
+    assert energy_functional(make_state(g, 2, 0.0), g) == 0.0
+    assert energy_functional(make_state(g, 2, 1.0), g) == pytest.approx(8.0)
 
 
 def test_quasi_norm_rho_quartic_scaling():
     g = unit_grid()
-    base = make_net(g, 1, 0.0)
-    base.neurons[0].rho[:] = 1.0
+    base = make_state(g, 1, 0.0)
+    base[0, 3] = 1.0
     scaled = base.copy()
-    scaled.neurons[0].rho *= 3.0
-    assert quasi_norm(scaled, g) == pytest.approx(81.0 * quasi_norm(base, g))
+    scaled[0, 3] *= 3.0
+    assert energy_functional(scaled, g) == pytest.approx(81.0 * energy_functional(base, g))
 
 
 def test_energy_functional():
     g = unit_grid()
-    net = make_net(g, 2, 0.7)
-    assert energy_functional(net, g, 1.0) == pytest.approx(quasi_norm(net, g))
-    assert energy_functional(make_net(g, 2, 0.0), g, 5.0) == 0.0
-    net1 = make_net(g, 1, 0.0)
-    net1.neurons[0].u[:] = 1.0
-    assert energy_functional(net1, g, 5.0) == pytest.approx(5.0)
+    x = make_state(g, 2, 0.7)
+    assert energy_functional(x, g, 1.0) == pytest.approx(2.0 * (3.0 * 0.7 ** 2 + 0.7 ** 4))
+    assert energy_functional(make_state(g, 2, 0.0), g, 5.0) == 0.0
+    x1 = make_state(g, 1, 0.0)
+    x1[0, 0] = 1.0
+    assert energy_functional(x1, g, 5.0) == pytest.approx(5.0)
     with pytest.raises(ValueError):
-        energy_functional(net, g, 0.0)
+        energy_functional(x, g, 0.0)
 
 
 def test_smoothing_reduces_h1_monotonically():

@@ -38,9 +38,7 @@ class TestInitialCondition:
             config=IntegratorConfig(), initial=ic,
         )
         net = generate_initial(spec, 5)
-        for s in net.neurons:
-            for _, arr in s.components:
-                assert np.allclose(arr, 0.3)
+        assert np.allclose(net.x, 0.3)
 
     def test_deterministic_and_seed_sensitive(self):
         spec = ExperimentSpec(parameters=Parameters(), grid=Grid((32,), (1.0,)),
@@ -48,18 +46,18 @@ class TestInitialCondition:
         a = generate_initial(spec, 7)
         b = generate_initial(spec, 7)
         c = generate_initial(spec, 8)
-        assert np.array_equal(a.neurons[0].u, b.neurons[0].u)
-        assert not np.array_equal(a.neurons[0].u, c.neurons[0].u)
+        assert np.array_equal(a.x[0, 0], b.x[0, 0])
+        assert not np.array_equal(a.x[0, 0], c.x[0, 0])
         # neurons draw from independent substreams
-        assert not np.array_equal(a.neurons[0].u, a.neurons[1].u)
+        assert not np.array_equal(a.x[0, 0], a.x[1, 0])
 
     def test_smoothing_lowers_h1(self):
         g = Grid((64,), (1.0,))
         rough = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig())
         smooth = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig(),
                                 initial=InitialCondition(smoothing_passes=5))
-        h1_rough = seminorm_h1(generate_initial(rough, 1).neurons[0].u, g)
-        h1_smooth = seminorm_h1(generate_initial(smooth, 1).neurons[0].u, g)
+        h1_rough = seminorm_h1(generate_initial(rough, 1).x[0, 0], g)
+        h1_smooth = seminorm_h1(generate_initial(smooth, 1).x[0, 0], g)
         assert h1_smooth < h1_rough
 
     def test_constant_offset_ladder(self):
@@ -68,9 +66,9 @@ class TestInitialCondition:
         spec = ExperimentSpec(parameters=Parameters(m=3), grid=Grid((8,), (1.0,)),
                               config=IntegratorConfig(), initial=ic)
         net = generate_initial(spec, 0)
-        assert np.allclose(net.neurons[0].u, 0.0)
-        assert np.allclose(net.neurons[1].u, 0.5)
-        assert np.allclose(net.neurons[2].u, 1.0)
+        assert np.allclose(net.x[0, 0], 0.0)
+        assert np.allclose(net.x[1, 0], 0.5)
+        assert np.allclose(net.x[2, 0], 1.0)
 
     def test_from_file_roundtrip(self, tmp_path):
         g = Grid((16,), (1.0,))
@@ -83,7 +81,7 @@ class TestInitialCondition:
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         net = generate_initial(spec, 0)
-        assert np.array_equal(net.neurons[1].rho, state[1, 3])
+        assert np.array_equal(net.x[1, 3], state[1, 3])
 
     def test_from_file_shape_mismatch(self, tmp_path):
         path = tmp_path / "ic.npz"
@@ -94,6 +92,23 @@ class TestInitialCondition:
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         with pytest.raises(ValueError):
+            generate_initial(spec, 0)
+
+    @pytest.mark.parametrize("state, message", [
+        (np.full((2, 4, 16), "1.0"), "numeric"),
+        (np.full((2, 4, 16), 1 + 0j), "numeric"),
+        (np.where(np.arange(16) == 5, np.nan, 0.0) * np.ones((2, 4, 1)), "non-finite"),
+        (np.full((2, 4, 16), -np.inf), "non-finite"),
+    ])
+    def test_from_file_rejects_bad_values(self, tmp_path, state, message):
+        path = tmp_path / "ic.npz"
+        np.savez(path, state=state)
+        spec = ExperimentSpec(
+            parameters=Parameters(), grid=Grid((16,), (1.0,)),
+            config=IntegratorConfig(),
+            initial=InitialCondition(mode="from-file", path=str(path)),
+        )
+        with pytest.raises(ValueError, match=message):
             generate_initial(spec, 0)
 
     def test_validation(self):
@@ -175,6 +190,21 @@ class TestRunExperiment:
         assert res.timeseries_path.exists()
 
 
+    @pytest.mark.parametrize("t_end, verdict", [(15.0, "synchronized"),
+                                                (0.5, "not synchronized")])
+    def test_verdict_without_pair_columns(self, tmp_path, t_end, verdict):
+        # m = 17 records only gap_max/gap_mean; the verdict reads gap_max
+        res = run_experiment(small_spec(
+            tmp_path, parameters=Parameters(P=2.0, Q=2.0, m=17),
+            config=IntegratorConfig(dt=1e-2, t_end=t_end, observe_every=50)))
+        header = res.timeseries_path.read_text().splitlines()[0].split(",")
+        assert "gap_max" in header and "gap_1_2" not in header
+        assert res.report["verdict"] == verdict
+        assert res.report["pairs"] == {}
+        assert "not fitted" in res.report["note"]
+        assert "note" not in run_experiment(small_spec(tmp_path / "m2")).report
+
+
 class TestRunSweep:
     def test_single_cell_matches_simulate(self, tmp_path):
         base = small_spec(tmp_path / "sweep")
@@ -187,6 +217,16 @@ class TestRunSweep:
         solo = run_experiment(small_spec(tmp_path / "solo"))
         assert run["verdict"] == solo.report["verdict"]
         assert report["Pmin"] == solo.report["thresholds"]["Pmin"]
+        cell_csv = tmp_path / "sweep" / "cells" / "P2_Q2_seed1_timeseries.csv"
+        assert cell_csv.read_bytes() == solo.timeseries_path.read_bytes()
+
+    def test_close_P_values_get_distinct_cells(self, tmp_path):
+        base = small_spec(tmp_path, config=IntegratorConfig(dt=1e-3, t_end=0.01))
+        sweep = SweepSpec(base=base, P_values=(10.0000001, 10.0000002),
+                          Q_values=(1.0,), seeds=(1,))
+        _, report = run_sweep(sweep)
+        assert len(list((tmp_path / "cells").iterdir())) == 4
+        assert all("error" not in run for cell in report["cells"] for run in cell["runs"])
 
     def test_partial_failure_recorded(self, tmp_path):
         base = small_spec(

@@ -12,7 +12,7 @@ from mhrnet.integrator import (
     step_imex,
     step_rk4,
 )
-from mhrnet.model import NetworkState, NeuronState, Parameters
+from mhrnet.model import NetworkState, Parameters
 
 
 def unit_grid(n=32):
@@ -20,32 +20,19 @@ def unit_grid(n=32):
 
 
 def const_net(g, m, u=0.0, v=0.0, w=0.0, rho=0.0):
-    def neuron():
-        return NeuronState(
-            np.full(g.shape, float(u)), np.full(g.shape, float(v)),
-            np.full(g.shape, float(w)), np.full(g.shape, float(rho)),
-        )
-    return NetworkState([neuron() for _ in range(m)], 0.0)
+    x = np.empty((m, 4) + g.shape)
+    x[:] = np.reshape([u, v, w, rho], (4,) + (1,) * g.dim)
+    return NetworkState(x, 0.0)
 
 
 def smooth_random_net(g, m, seed, passes=3, amplitude=0.5):
     rng = np.random.default_rng(seed)
-    neurons = []
-    for _ in range(m):
-        comps = [
-            smooth_field(rng.uniform(-amplitude, amplitude, size=g.shape), g, passes)
-            for _ in range(4)
-        ]
-        neurons.append(NeuronState(*comps))
-    return NetworkState(neurons, 0.0)
+    x = rng.uniform(-amplitude, amplitude, size=(m, 4) + g.shape)
+    return NetworkState(smooth_field(x, g, passes), 0.0)
 
 
 def max_diff(n1, n2):
-    out = 0.0
-    for s1, s2 in zip(n1.neurons, n2.neurons):
-        for (_, a), (_, b) in zip(s1.components, s2.components):
-            out = max(out, float(np.max(np.abs(a - b))))
-    return out
+    return float(np.max(np.abs(n1.x - n2.x)))
 
 
 class TestConfig:
@@ -104,8 +91,8 @@ class TestRk4:
         for _ in range(1000):
             net = step_rk4(net, p, g, dt)
         exact = p.alpha + (v0 - p.alpha) * np.exp(-1.0)
-        assert np.max(np.abs(net.neurons[0].v - exact)) <= 1e-10
-        assert np.max(np.abs(net.neurons[0].u)) <= 1e-12
+        assert np.max(np.abs(net.x[0, 1] - exact)) <= 1e-10
+        assert np.max(np.abs(net.x[0, 0])) <= 1e-12
 
     def test_convergence_order(self):
         g = unit_grid(32)
@@ -156,6 +143,18 @@ class TestImplicitDiffusion:
         out = diffusion_step_be(f, g, 1.0, 0.3)
         assert np.sum(out) == pytest.approx(np.sum(f), abs=1e-10)
 
+    @pytest.mark.parametrize("cells", [(32,), (8, 12)])
+    def test_stack_matches_single_fields(self, cells):
+        # one solve for all lines gives each field's own solve exactly
+        g = Grid(cells, (1.0,) * len(cells))
+        f = np.random.default_rng(2).normal(size=(3, 2) + g.shape)
+        f0 = f.copy()
+        out = diffusion_step_be(f, g, 0.7, 0.05)
+        assert np.array_equal(f, f0)
+        for i in range(3):
+            for k in range(2):
+                assert np.array_equal(out[i, k], diffusion_step_be(f[i, k], g, 0.7, 0.05))
+
     def test_2d_matches_two_1d_sweeps(self):
         g2 = Grid((16, 16), (1.0, 1.0))
         rng = np.random.default_rng(1)
@@ -195,7 +194,7 @@ class TestImex:
         for _ in range(50):
             net = step_imex(net, p, g, dt)
         assert net.first_nonfinite() is None
-        assert max(np.max(np.abs(s.u)) for s in net.neurons) < 1e3
+        assert np.max(np.abs(net.x[:, 0])) < 1e3
 
     def test_coupling_preserves_neuron_mean(self):
         g = unit_grid(32)
@@ -204,8 +203,8 @@ class TestImex:
         net = smooth_random_net(g, 3, seed=5)
         a = step_imex(net.copy(), p0, g, 1e-3)
         b = step_imex(net.copy(), p1, g, 1e-3)
-        mean_a = sum(s.u for s in a.neurons) / 3.0
-        mean_b = sum(s.u for s in b.neurons) / 3.0
+        mean_a = a.x[:, 0].sum(axis=0) / 3.0
+        mean_b = b.x[:, 0].sum(axis=0) / 3.0
         assert np.max(np.abs(mean_a - mean_b)) < 1e-13
 
 
@@ -232,11 +231,10 @@ class TestIntegrate:
         g = unit_grid(32)
         p = Parameters(P=5.0, Q=5.0)
         net0 = smooth_random_net(g, 1, seed=7)
-        net0 = NetworkState([net0.neurons[0].copy(), net0.neurons[0].copy()], 0.0)
+        net0 = NetworkState(np.concatenate([net0.x, net0.x]), 0.0)
         cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=10.0)
         out = integrate(net0, p, g, cfg)
-        for (_, a), (_, b) in zip(out.neurons[0].components, out.neurons[1].components):
-            assert np.array_equal(a, b)
+        assert np.array_equal(out.x[0], out.x[1])
 
     def test_stability_guard_rejects_large_dt(self):
         g = unit_grid(64)
@@ -254,7 +252,7 @@ class TestIntegrate:
         cfg = IntegratorConfig(scheme="explicit-rk4", dt=dt, t_end=10.0,
                                observe_every=10, enforce_stability=False)
         net = const_net(g, 2)
-        net.neurons[0].u[:] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        net.x[0, 0] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
         with pytest.raises(BlowUpError) as info:
             integrate(net, p, g, cfg)
         assert info.value.t > 0.0

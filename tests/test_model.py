@@ -4,7 +4,6 @@ import pytest
 from mhrnet.grid import Grid, InvalidFieldError
 from mhrnet.model import (
     NetworkState,
-    NeuronState,
     Parameters,
     coupling_rhs,
     full_rhs,
@@ -17,17 +16,16 @@ def unit_grid(n=32):
     return Grid((n,), (1.0,))
 
 
-def const_neuron(g, u=0.0, v=0.0, w=0.0, rho=0.0):
-    return NeuronState(
-        np.full(g.shape, float(u)), np.full(g.shape, float(v)),
-        np.full(g.shape, float(w)), np.full(g.shape, float(rho)),
-    )
+def const_state(g, m, u=0.0, v=0.0, w=0.0, rho=0.0):
+    """(m, 4, *cells) state whose every neuron holds the same constants."""
+    x = np.empty((m, 4) + g.shape)
+    x[:] = np.reshape([u, v, w, rho], (4,) + (1,) * g.dim)
+    return x
 
 
 def random_net(g, m, seed=0):
     rng = np.random.default_rng(seed)
-    neurons = [NeuronState(*rng.normal(size=(4,) + g.shape)) for _ in range(m)]
-    return NetworkState(neurons, 0.0)
+    return NetworkState(rng.normal(size=(m, 4) + g.shape), 0.0)
 
 
 class TestParameters:
@@ -45,6 +43,23 @@ class TestParameters:
     def test_zero_coupling_allowed(self):
         p = Parameters(P=0.0, Q=0.0)
         assert p.P == 0.0 and p.Q == 0.0
+
+
+class TestNetworkState:
+    def test_shape_validation(self):
+        g = unit_grid(8)
+        NetworkState(np.zeros((2, 4) + g.shape))
+        for shape in ((2, 3, 8), (4, 8), (2, 4)):
+            with pytest.raises(ValueError):
+                NetworkState(np.zeros(shape))
+
+    def test_first_nonfinite_in_neuron_then_component_order(self):
+        x = np.zeros((3, 4, 8))
+        assert NetworkState(x).first_nonfinite() is None
+        x[2, 0, 0] = np.inf
+        x[1, 3, 1] = np.nan
+        x[1, 2, 6] = -np.inf
+        assert NetworkState(x).first_nonfinite() == (1, "w")
 
 
 class TestMemductance:
@@ -74,7 +89,7 @@ class TestReaction:
     def test_zero_state(self):
         g = unit_grid()
         p = Parameters(Je=2.0, alpha=3.0, q=1.5, ue=0.5)
-        du, dv, dw, drho = reaction_rhs(const_neuron(g), p)
+        du, dv, dw, drho = reaction_rhs(const_state(g, 1), p)[0]
         assert np.allclose(du, 2.0)
         assert np.allclose(dv, 3.0)
         assert np.allclose(dw, -1.5 * 0.5)
@@ -84,8 +99,8 @@ class TestReaction:
         g = unit_grid()
         p = Parameters(alpha=2.0, beta=0.5)
         ustar = 1.3
-        s = const_neuron(g, u=ustar, v=p.alpha - p.beta * ustar ** 2)
-        _, dv, _, _ = reaction_rhs(s, p)
+        x = const_state(g, 1, u=ustar, v=p.alpha - p.beta * ustar ** 2)
+        _, dv, _, _ = reaction_rhs(x, p)[0]
         assert np.allclose(dv, 0.0, atol=1e-15)
 
     def test_pointwise_oracle(self):
@@ -93,68 +108,55 @@ class TestReaction:
         # and subtract it; u=1, v=w=0, rho=1 gives 1 - 1 - phi(1) = -3
         g = unit_grid()
         p = Parameters(Je=1e-12)
-        s = const_neuron(g, u=1.0, rho=1.0)
-        du, _, _, _ = reaction_rhs(s, p)
+        x = const_state(g, 1, u=1.0, rho=1.0)
+        du, _, _, _ = reaction_rhs(x, p)[0]
         assert np.allclose(du - p.Je, -3.0)
 
     def test_locality(self):
         g = unit_grid()
         p = Parameters()
         net = random_net(g, 2, seed=4)
-        base = reaction_rhs(net.neurons[0], p)
-        bumped = net.neurons[0].copy()
-        bumped.u[7] += 0.5
-        out = reaction_rhs(bumped, p)
-        for a, b in zip(base, out):
-            mask = a != b
-            assert not mask[:7].any() and not mask[8:].any()
+        base = reaction_rhs(net.x, p)
+        bumped = net.x.copy()
+        bumped[0, 0, 7] += 0.5
+        mask = base != reaction_rhs(bumped, p)
+        assert not mask[..., :7].any() and not mask[..., 8:].any()
+        assert not mask[1].any()
 
 
 class TestCoupling:
     def test_identical_neurons_zero(self):
         g = unit_grid()
         p = Parameters(P=3.0, Q=2.0)
-        s = const_neuron(g, u=0.4, rho=-0.2)
-        net = NetworkState([s.copy(), s.copy(), s.copy()], 0.0)
-        cu, cr = coupling_rhs(net, 1, p)
+        cu, cr = coupling_rhs(const_state(g, 3, u=0.4, rho=-0.2), p)
         assert np.all(cu == 0.0) and np.all(cr == 0.0)
 
     def test_two_neuron_oracle(self):
         # m=2, P=2, u1=0, u2=1: coupling on neuron 1 is 2*(1-0) = 2
         g = unit_grid()
         p = Parameters(P=2.0, m=2)
-        net = NetworkState([const_neuron(g, u=0.0), const_neuron(g, u=1.0)], 0.0)
-        cu, _ = coupling_rhs(net, 0, p)
-        assert np.allclose(cu, 2.0)
-
-    def test_index_out_of_range(self):
-        g = unit_grid()
-        net = random_net(g, 2)
-        with pytest.raises(IndexError):
-            coupling_rhs(net, 2, Parameters())
+        x = const_state(g, 2)
+        x[1, 0] = 1.0
+        cu, _ = coupling_rhs(x, p)
+        assert np.allclose(cu[0], 2.0)
 
     def test_permutation_symmetry(self):
         g = unit_grid()
         p = Parameters(P=1.5, Q=0.5, m=3)
         net = random_net(g, 3, seed=5)
         perm = [2, 0, 1]
-        pnet = NetworkState([net.neurons[k] for k in perm], 0.0)
+        cu_p, cr_p = coupling_rhs(net.x[perm], p)
+        cu, cr = coupling_rhs(net.x, p)
         for new_i, old_i in enumerate(perm):
-            cu_p, cr_p = coupling_rhs(pnet, new_i, p)
-            cu, cr = coupling_rhs(net, old_i, p)
-            assert np.allclose(cu_p, cu, atol=1e-14)
-            assert np.allclose(cr_p, cr, atol=1e-14)
+            assert np.allclose(cu_p[new_i], cu[old_i], atol=1e-14)
+            assert np.allclose(cr_p[new_i], cr[old_i], atol=1e-14)
 
     def test_conservation(self):
         g = unit_grid()
         p = Parameters(P=2.0, Q=3.0, m=4)
         net = random_net(g, 4, seed=6)
-        su = np.zeros(g.shape)
-        sr = np.zeros(g.shape)
-        for i in range(4):
-            cu, cr = coupling_rhs(net, i, p)
-            su += cu
-            sr += cr
+        cu, cr = coupling_rhs(net.x, p)
+        su, sr = cu.sum(axis=0), cr.sum(axis=0)
         assert np.max(np.abs(su)) < 1e-13
         assert np.max(np.abs(sr)) < 1e-13
 
@@ -164,46 +166,40 @@ class TestFullRhs:
         g = unit_grid()
         p = Parameters(P=4.0, Q=2.0, m=3)
         rng = np.random.default_rng(7)
-        s = NeuronState(*rng.normal(size=(4,) + g.shape))
-        net = NetworkState([s.copy(), s.copy(), s.copy()], 0.0)
-        out = full_rhs(net, p, g)
-        ref = out.neurons[0]
-        for s2 in out.neurons[1:]:
-            for (_, a), (_, b) in zip(ref.components, s2.components):
-                assert np.array_equal(a, b)
+        x = np.stack([rng.normal(size=(4,) + g.shape)] * 3)
+        out = full_rhs(x, p, g)
+        for other in out[1:]:
+            assert np.array_equal(out[0], other)
 
     def test_permutation_equivariance(self):
         g = unit_grid()
         p = Parameters(P=1.0, Q=2.0, m=3)
         net = random_net(g, 3, seed=8)
         perm = [1, 2, 0]
-        out = full_rhs(net, p, g)
-        pout = full_rhs(NetworkState([net.neurons[k] for k in perm], 0.0), p, g)
+        out = full_rhs(net.x, p, g)
+        pout = full_rhs(net.x[perm], p, g)
         for new_i, old_i in enumerate(perm):
-            for (_, a), (_, b) in zip(pout.neurons[new_i].components,
-                                      out.neurons[old_i].components):
-                assert np.allclose(a, b, atol=1e-13)
+            assert np.allclose(pout[new_i], out[old_i], atol=1e-13)
 
     def test_constant_identical_state_equals_reaction(self):
         g = unit_grid()
         p = Parameters(P=2.0, Q=2.0)
-        s = const_neuron(g, u=0.3, v=-0.1, w=0.2, rho=0.5)
-        net = NetworkState([s.copy(), s.copy()], 0.0)
-        out = full_rhs(net, p, g)
-        du, dv, dw, drho = reaction_rhs(s, p)
-        assert np.allclose(out.neurons[0].u, du)
-        assert np.allclose(out.neurons[0].v, dv)
-        assert np.allclose(out.neurons[0].w, dw)
-        assert np.allclose(out.neurons[0].rho, drho)
+        x = const_state(g, 2, u=0.3, v=-0.1, w=0.2, rho=0.5)
+        out = full_rhs(x, p, g)
+        du, dv, dw, drho = reaction_rhs(x[:1], p)[0]
+        assert np.allclose(out[0, 0], du)
+        assert np.allclose(out[0, 1], dv)
+        assert np.allclose(out[0, 2], dw)
+        assert np.allclose(out[0, 3], drho)
 
     def test_tiny_diffusivity_isolates_reaction(self):
         g = unit_grid()
         p = Parameters(eta1=1e-12, eta2=1e-12, P=1e-300, Q=1e-300)
         net = random_net(g, 2, seed=9)
-        out = full_rhs(net, p, g)
-        du, _, _, drho = reaction_rhs(net.neurons[0], p)
-        scale = np.max(np.abs(net.neurons[0].u)) / min(g.spacing) ** 2
-        assert np.max(np.abs(out.neurons[0].u - du)) < 1e-6 * scale
+        out = full_rhs(net.x, p, g)
+        du, _, _, drho = reaction_rhs(net.x, p)[0]
+        scale = np.max(np.abs(net.x[0, 0])) / min(g.spacing) ** 2
+        assert np.max(np.abs(out[0, 0] - du)) < 1e-6 * scale
 
     def test_pure_diffusion_eigenfunction(self):
         # v = w = rho = 0, u = cos(pi x); subtract the reaction part
@@ -212,10 +208,10 @@ class TestFullRhs:
         p = Parameters(eta1=2.0)
         x = g.coordinates()[0]
         u = np.cos(np.pi * x)
-        s = NeuronState(u, np.zeros_like(u), np.zeros_like(u), np.zeros_like(u))
-        net = NetworkState([s.copy(), s.copy()], 0.0)
-        out = full_rhs(net, p, g)
+        x = const_state(g, 2)
+        x[:, 0] = u
+        out = full_rhs(x, p, g)
         reaction = p.a * u ** 2 - p.b * u ** 3 + p.Je - p.k1 * p.c * u
-        diffusion = out.neurons[0].u - reaction
+        diffusion = out[0, 0] - reaction
         h = g.spacing[0]
         assert np.max(np.abs(diffusion + p.eta1 * np.pi ** 2 * u)) < 20.0 * h ** 2
