@@ -20,7 +20,7 @@ __all__ = [
     "EnvelopeCheck",
     "FitWindowError",
     "compute_constants",
-    "pairwise_gaps",
+    "pairwise_gap",
     "fit_decay_rate",
     "estimate_async_degree",
     "check_absorbing_envelope",
@@ -115,18 +115,17 @@ def compute_constants(p, omega_measure, cstar=1.0):
     )
 
 
-def pairwise_gaps(x, g):
-    """Squared E-norm gaps ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
+def pairwise_gap(x, g, i, j):
+    """Squared E-norm gap ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
 
-    One per pair i < j of the (m, 4, *cells) state x, in the order (0, 1),
-    (0, 2), ..., (m-2, m-1).  The pairs of one i are computed as one block,
-    so temporaries stay O(m * cells).
+    i and j index neurons of the (m, 4, *cells) state x.
     """
-    gaps = []
-    for i in range(x.shape[0] - 1):
-        norms = norm_l2(x[i] - x[i + 1:], g).tolist()
-        gaps += [u ** 2 + v ** 2 + w ** 2 + rho ** 2 for u, v, w, rho in norms]
-    return gaps
+    if i == j:
+        raise ValueError("pairwise gap needs two distinct neurons")
+    if not (0 <= i < len(x) and 0 <= j < len(x)):
+        raise IndexError("neuron index out of range")
+    u, v, w, rho = norm_l2(x[i] - x[j], g).tolist()
+    return u ** 2 + v ** 2 + w ** 2 + rho ** 2
 
 
 @dataclass(frozen=True)

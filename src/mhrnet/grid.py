@@ -130,12 +130,13 @@ def norm_l2(f, g):
 
 
 def norm_l4(f, g):
-    """Midpoint-rule L4 norm, one per leading index."""
+    """Midpoint-rule L4 norm, one per leading index (a float for one field)."""
     f = _check_field(f, g)
     s = _integral(f ** 4, g)
     # the fourth root is taken as a Python float: numpy's vectorized power
     # rounds differently in the last bit
-    return np.reshape([v ** 0.25 for v in np.ravel(s).tolist()], np.shape(s))
+    roots = [v ** 0.25 for v in np.ravel(s).tolist()]
+    return roots[0] if np.ndim(s) == 0 else np.reshape(roots, np.shape(s))
 
 
 def seminorm_h1(f, g):

