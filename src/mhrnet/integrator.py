@@ -5,13 +5,17 @@ alternating-direction sweeps in 2D), the reaction explicitly, and the
 all-to-all linear coupling by an exact integrating-factor substep.  The
 exact coupling substep keeps the scheme stable for arbitrarily large
 coupling strengths, which the synchronization thresholds routinely demand.
+The tridiagonal operator I - s*L of each grid axis is LU-factored once per
+(cells, s) with LAPACK dgttrf and cached; each solve is then one dgttrs
+back-substitution.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 # the blow-up check's quasi-norm is the energy functional at c1 = 1
 from .grid import energy_functional as quasi_norm
@@ -88,15 +92,32 @@ def step_rk4(net, p, g, dt):
     return NetworkState(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), net.t + dt)
 
 
-def _band_matrix(n, s):
-    """Banded form of I - s*L_1d for the Neumann Laplacian on n cells."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -s
-    ab[2, :-1] = -s
-    ab[1, :] = 1.0 + 2.0 * s
-    ab[1, 0] = 1.0 + s
-    ab[1, -1] = 1.0 + s
-    return ab
+@functools.lru_cache(maxsize=16)
+def _factor(n, s):
+    """LU factors (dl, d, du, du2, ipiv) of I - s*L_1d, Neumann Laplacian on n cells.
+
+    scipy's gttrf/gttrs wrappers reject n = 2, so a 2-cell system is factored
+    with an identity row appended; solve_banded pads the right-hand side to
+    match, which leaves finite solutions bitwise unchanged.  The factors are
+    cached and shared, so they are made read-only.
+    """
+    d = np.full(max(n, 3), 1.0 + 2.0 * s)
+    d[0] = d[n - 1] = 1.0 + s
+    d[n:] = 1.0
+    off = np.full(len(d) - 1, -s)
+    off[n - 1:] = 0.0
+    lu = dgttrf(off, d, off.copy())[:5]
+    for a in lu:
+        a.flags.writeable = False
+    return lu
+
+
+def solve_banded(lu, b, overwrite_b):
+    """Solve with the factors of _factor for every column of b, shape (n, k)."""
+    n = len(b)
+    if n < len(lu[1]):
+        b, overwrite_b = np.pad(b, ((0, len(lu[1]) - n), (0, 0))), True
+    return dgttrs(*lu, b, overwrite_b=overwrite_b)[0][:n]
 
 
 def diffusion_step_be(f, g, eta, dt):
@@ -104,19 +125,21 @@ def diffusion_step_be(f, g, eta, dt):
 
     f may carry leading axes; each grid axis is solved for all lines at
     once, and in 2D the operator is factored into alternating-direction
-    sweeps.  The implicit matrix is strictly diagonally dominant, so the
-    solve cannot fail.
+    sweeps.  The tridiagonal matrix of an axis is factored once per
+    (cells, dt*eta/h^2) and each call is one dgttrs back-substitution.  The
+    matrix is strictly diagonally dominant, so the solve cannot fail;
+    non-finite values pass through to the blow-up check.
     """
     f = np.asarray(f, dtype=float)
     lead = f.ndim - g.dim
     for k, h in enumerate(g.spacing):
-        ab = _band_matrix(g.cells[k], dt * eta / (h * h))
+        lu = _factor(g.cells[k], dt * eta / (h * h))
         # with the solved axis last, every line is one column of the
         # right-hand side, so one call solves them all; a right-hand side
         # that reshape had to copy is ours to overwrite
         lines = f.swapaxes(lead + k, -1)
         rhs = lines.reshape(-1, g.cells[k])
-        sol = solve_banded((1, 1), ab, rhs.T, overwrite_b=not np.may_share_memory(rhs, f))
+        sol = solve_banded(lu, rhs.T, overwrite_b=not np.may_share_memory(rhs, f))
         f = sol.T.reshape(lines.shape).swapaxes(lead + k, -1)
     return f
 
@@ -151,24 +174,16 @@ def step_imex(net, p, g, dt):
     return NetworkState(x, net.t + dt)
 
 
-def _check_state(net, g):
-    bad = net.first_nonfinite()
-    if bad is not None:
-        raise BlowUpError(net.t, neuron=bad[0], component=bad[1])
-    qn = quasi_norm(net.x, g)
-    if qn > QUASI_NORM_CEILING:
-        raise BlowUpError(net.t, detail="quasi-norm %.3g exceeds ceiling" % qn)
-
-
 def integrate(net0, p, g, cfg, observer=None):
     """Advance net0 until t >= t_end with fixed steps of cfg.dt.
 
     The observer, if given, is called as observer(t, state) every
     cfg.observe_every steps and at the final step; the state passed in must
     be treated as read-only.  Identical inputs produce bitwise-identical
-    trajectories.  Blow-up (non-finite values or quasi-norm above
-    QUASI_NORM_CEILING, checked at observation boundaries) raises
-    BlowUpError with the time and the first offending component.
+    trajectories.  Blow-up raises BlowUpError: a non-finite value, checked
+    after every step, with the time and the first offending component; a
+    quasi-norm above QUASI_NORM_CEILING, checked at observation boundaries,
+    with the time.
     """
     if cfg.scheme == "explicit-rk4" and cfg.enforce_stability:
         limit = stability_limit(g, p)
@@ -184,8 +199,13 @@ def integrate(net0, p, g, cfg, observer=None):
         for k in range(1, n_steps + 1):
             net = step(net, p, g, cfg.dt)
             net.t = net0.t + k * cfg.dt
+            bad = net.first_nonfinite()
+            if bad is not None:
+                raise BlowUpError(net.t, neuron=bad[0], component=bad[1])
             if k % cfg.observe_every == 0 or k == n_steps:
-                _check_state(net, g)
+                qn = quasi_norm(net.x, g)
+                if qn > QUASI_NORM_CEILING:
+                    raise BlowUpError(net.t, detail="quasi-norm %.3g exceeds ceiling" % qn)
                 if observer is not None:
                     observer(net.t, net)
     return net

@@ -86,6 +86,18 @@ class TestSimulate:
                      "--outdir", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
 
+    def test_imex_blow_up_between_checks(self, tmp_path, capsys):
+        # the state turns non-finite at step 7, long before the first
+        # observation at step 100; the run is diverged, not a config error
+        code = main(["simulate", "-s", "integrator.dt=1.0", "-s", "integrator.t_end=200",
+                     "-s", "grid.cells=[16]", "-s", "initial.amplitude.u=[-5,5]",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_DIVERGED
+        assert "error:" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["verdict"] == "diverged"
+        assert report["blowup"]["t"] == 7.0
+
     def test_stability_guard_on_by_default(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "grid.cells": [64],

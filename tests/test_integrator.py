@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from mhrnet.grid import Grid, smooth_field
 from mhrnet.integrator import (
     BlowUpError,
     IntegratorConfig,
+    _factor,
     diffusion_step_be,
     integrate,
     stability_limit,
@@ -155,6 +157,60 @@ class TestImplicitDiffusion:
             for k in range(2):
                 assert np.array_equal(out[i, k], diffusion_step_be(f[i, k], g, 0.7, 0.05))
 
+    @pytest.mark.parametrize("lead, cells", [
+        ((), (64,)), ((), (128,)), ((), (2,)), ((), (48, 80)), ((), (2, 5)),
+        ((3, 2), (128,)), ((3, 2), (48, 80)),
+    ])
+    def test_matches_solve_banded(self, lead, cells):
+        # the cached LU and dgttrs give scipy's banded solve bit for bit
+        g = Grid(cells, (1.0,) * len(cells))
+        f = np.random.default_rng(3).normal(size=lead + cells)
+        eta, dt = 0.7, 0.05
+        ref = f
+        for k, h in enumerate(g.spacing):
+            n, s = cells[k], dt * eta / (h * h)
+            band = np.zeros((3, n))
+            band[0, 1:] = band[2, :-1] = -s
+            band[1] = 1.0 + 2.0 * s
+            band[1, 0] = band[1, -1] = 1.0 + s
+            lines = np.moveaxis(ref, k - len(cells), -1)
+            sol = scipy.linalg.solve_banded((1, 1), band, lines.reshape(-1, n).T)
+            ref = np.moveaxis(sol.T.reshape(lines.shape), -1, k - len(cells))
+        assert np.array_equal(diffusion_step_be(f, g, eta, dt), ref)
+
+    @pytest.mark.parametrize("f, cells", [
+        (np.linspace(-1.0, 1.0, 64), (64,)),                      # lines are a view of f
+        (np.linspace(-1.0, 1.0, 384).reshape(64, 2, 3).T, (64,)),  # reshape copies them
+        (np.linspace(-1.0, 1.0, 240).reshape(12, 20), (12, 20)),   # 2D: one of each
+    ])
+    def test_input_untouched(self, f, cells):
+        g = Grid(cells, (1.0,) * len(cells))
+        f0 = f.copy()
+        out = diffusion_step_be(f, g, 0.7, 0.05)
+        assert np.array_equal(f, f0)
+        assert not np.may_share_memory(out, f)
+
+    def test_cached_factors_read_only(self):
+        for a in _factor(16, 0.25):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_factor_cache_per_step(self):
+        g = unit_grid(40)
+        f = np.random.default_rng(4).normal(size=g.shape)
+        _factor.cache_clear()
+        outs = [diffusion_step_be(f, g, 0.7, 0.05) for _ in range(3)]
+        info = _factor.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert all(np.array_equal(o, outs[0]) for o in outs)
+        diffusion_step_be(f, g, 0.7, 0.1)
+        assert _factor.cache_info().currsize == 2
+        h = g.spacing[0]
+        a, b = _factor(40, 0.05 * 0.7 / (h * h)), _factor(40, 0.1 * 0.7 / (h * h))
+        assert _factor.cache_info().currsize == 2
+        assert not np.array_equal(a[1], b[1])
+
     def test_2d_matches_two_1d_sweeps(self):
         g2 = Grid((16, 16), (1.0, 1.0))
         rng = np.random.default_rng(1)
@@ -256,3 +312,20 @@ class TestIntegrate:
         with pytest.raises(BlowUpError) as info:
             integrate(net, p, g, cfg)
         assert info.value.t > 0.0
+
+    def test_blow_up_located_at_step(self):
+        # the first non-finite state is reported at its own step, not at
+        # the next observation boundary
+        g = unit_grid(16)
+        p = Parameters()
+        net = const_net(g, 2)
+        net.x[:, 0] = np.linspace(-5.0, 5.0, 16)
+        first = net
+        with np.errstate(over="ignore", invalid="ignore"):
+            while first.first_nonfinite() is None:
+                first = step_imex(first, p, g, 1.0)
+        cfg = IntegratorConfig(scheme="imex-be", dt=1.0, t_end=200.0, observe_every=100)
+        with pytest.raises(BlowUpError) as info:
+            integrate(net, p, g, cfg)
+        assert 0.0 < info.value.t == first.t < 100.0
+        assert (info.value.neuron, info.value.component) == first.first_nonfinite()
