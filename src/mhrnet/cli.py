@@ -1,11 +1,15 @@
 """Command-line entry point: thresholds, simulate, sweep, estimate-cstar.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical divergence.
+Progress logs go to stderr: warnings only by default, each finished run,
+skipped rate fit and failed sweep cell at -v, and fitted rates, written
+files and tracebacks of failed cells at -vv.
 """
 
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import re
 import sys
@@ -228,7 +232,8 @@ def _parser():
         prog="mhrnet",
         description="Memristive diffusive Hindmarsh-Rose network simulator",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument("-v", "--verbose", action="count", default=0,
+                        help="log progress to stderr (-vv for more detail)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -270,6 +275,14 @@ def main(argv=None):
         return EXIT_CONFIG if err.code not in (0, None) else 0
     if getattr(args, "command", None) == "estimate-cstar" and args.extent is None:
         args.extent = [1.0] * len(args.cells)
+    # the handler lives for this call only, so repeated calls in one process
+    # neither stack handlers nor keep a stale stderr
+    logger = logging.getLogger("mhrnet")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
     try:
         from .integrator import BlowUpError
         try:
@@ -282,6 +295,9 @@ def main(argv=None):
     except OSError as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def entry():

@@ -4,9 +4,13 @@ Fields are plain numpy arrays whose trailing axes equal ``grid.cells``
 (row-major cell-center samples); any leading axes index a stack of fields,
 such as the (m, 4) neurons and components of a network state.  Every
 operator here acts on the trailing grid axes only.  All quadrature is the
-midpoint rule.
+midpoint rule.  A grid's spacing and cell volume are fixed when it is
+built.  The Laplacian reads each cell's neighbours through clamped index
+arrays, cached per axis length, so the boundary cells see themselves as
+their ghost neighbours without padding the field.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,8 @@ class Grid:
 
     cells: number of cells per axis (1 or 2 axes, each >= 2).
     extents: physical length per axis.
+    spacing, cell_volume: cell width per axis and their product, set once
+    here because every norm and Laplacian call reads them.
     """
 
     cells: tuple
@@ -51,6 +57,9 @@ class Grid:
             raise ValueError("need at least 2 cells per axis")
         if any(not np.isfinite(L) or L <= 0.0 for L in extents):
             raise ValueError("extents must be positive and finite")
+        spacing = tuple(L / n for L, n in zip(extents, cells))
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "cell_volume", float(np.prod(spacing)))
 
     @property
     def dim(self):
@@ -59,14 +68,6 @@ class Grid:
     @property
     def shape(self):
         return self.cells
-
-    @property
-    def spacing(self):
-        return tuple(L / n for L, n in zip(self.extents, self.cells))
-
-    @property
-    def cell_volume(self):
-        return float(np.prod(self.spacing))
 
     @property
     def measure(self):
@@ -93,24 +94,34 @@ def _check_field(f, g):
     return f
 
 
+@functools.lru_cache(maxsize=16)
+def _neighbours(n):
+    """Clamped index arrays (max(i-1, 0), min(i+1, n-1)) of an axis of n cells.
+
+    Cached and shared, so they are made read-only.
+    """
+    i = np.arange(n)
+    below = np.maximum(i - 1, 0)
+    above = np.minimum(i + 1, n - 1)
+    below.flags.writeable = False
+    above.flags.writeable = False
+    return below, above
+
+
 def laplacian_neumann(f, g):
     """Second-order Laplacian with homogeneous Neumann (no-flux) boundaries.
 
     Boundary cells use ghost-cell reflection (ghost value = adjacent interior
     value), so the sum of the output over all cells telescopes to zero.
+    The neighbours are gathered with the clamped indices of _neighbours.
     """
     f = _check_field(f, g)
     lead = f.ndim - g.dim
     out = np.zeros_like(f)
     for k, h in enumerate(g.spacing):
         axis = lead + k
-        pad = [(1, 1) if a == axis else (0, 0) for a in range(f.ndim)]
-        p = np.pad(f, pad, mode="edge")
-        lo = [slice(None)] * f.ndim
-        lo[axis] = slice(0, -2)
-        hi = [slice(None)] * f.ndim
-        hi[axis] = slice(2, None)
-        out += (p[tuple(lo)] - 2.0 * f + p[tuple(hi)]) / (h * h)
+        below, above = _neighbours(g.cells[k])
+        out += (f.take(below, axis) - 2.0 * f + f.take(above, axis)) / (h * h)
     return out
 
 

@@ -7,6 +7,7 @@ byte-identical); reports go to JSON with a mandatory schema_version field.
 import csv
 import dataclasses
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "MAX_PAIR_COLUMNS_M",
 ]
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 OBSERVABLES = ("norms", "energy", "gaps")
@@ -290,6 +293,8 @@ def run_experiment(spec, extra_observer=None):
             report["pairs"][key] = {"rate": None, "window": None, "residual": None,
                                     "n_samples": 0, "decayed": None,
                                     "note": "gap identically zero"}
+            log.info("%s pair %s: rate fit skipped: gap identically zero",
+                     spec.label, key)
             continue
         try:
             fit = fit_decay_rate(times, np.maximum(gaps, 1e-300))
@@ -298,9 +303,12 @@ def run_experiment(spec, extra_observer=None):
                 "residual": fit.residual, "n_samples": fit.n_samples,
                 "decayed": fit.decayed,
             }
+            log.debug("%s pair %s: rate %.6g over t in [%g, %g]",
+                      spec.label, key, fit.rate, *fit.window)
         except (FitWindowError, ValueError) as err:
             report["pairs"][key] = {"rate": None, "window": None, "residual": None,
                                     "n_samples": 0, "decayed": None, "note": str(err)}
+            log.info("%s pair %s: rate fit skipped: %s", spec.label, key, err)
 
     if "norms" in spec.observables and blowup is None:
         y = _quasinorm_series(header, data, p.m)
@@ -329,6 +337,11 @@ def run_experiment(spec, extra_observer=None):
     with open(rp_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if blowup is None:
+        log.info("%s: verdict %s", spec.label, report["verdict"])
+    else:
+        log.info("%s: verdict diverged, %s", spec.label, str(blowup).strip())
+    log.debug("%s: wrote %s and %s", spec.label, ts_path, rp_path)
     return ExperimentResult(ts_path, rp_path, report)
 
 
@@ -366,7 +379,10 @@ def run_sweep(sweep):
                     if rate is not None:
                         rates.append(rate)
                 except Exception as err:  # noqa: BLE001 - recorded, not raised
-                    cell["runs"].append({"seed": seed, "error": str(err)})
+                    cell["runs"].append({"seed": seed, "error": str(err),
+                                         "error_type": type(err).__name__})
+                    log.info("%s: failed with %s: %s", label, type(err).__name__, err)
+                    log.debug("%s: traceback", label, exc_info=True)
             if rates:
                 cell["median_rate"] = float(np.median(rates))
             cells.append(cell)

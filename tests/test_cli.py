@@ -68,6 +68,16 @@ class TestSimulate:
         assert (tmp_path / "out" / "run_report.json").exists()
         assert "verdict" in capsys.readouterr().out
 
+    def test_verbose_logs_verdict_on_stderr(self, tmp_path, capsys):
+        args = ["simulate", "-s", "grid.cells=[16]", "-s", "integrator.t_end=0.2",
+                "--outdir", str(tmp_path / "out")]
+        assert main(["-v"] + args) == EXIT_OK
+        captured = capsys.readouterr()
+        verdict = captured.out.splitlines()[0].split(": ", 1)[1]
+        assert "mhrnet.harness: run: verdict %s\n" % verdict in captured.err
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_unwritable_outdir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")

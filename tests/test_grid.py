@@ -34,6 +34,38 @@ def test_grid_geometry():
     assert g.spacing == (0.2, 0.05)
     assert g.measure == pytest.approx(2.0)
     assert g.cell_volume == pytest.approx(0.01)
+    # fixed when the grid is built, not recomputed on each read
+    assert g.spacing is g.spacing
+    assert g.cell_volume == float(np.prod(g.spacing))
+    assert isinstance(g.cell_volume, float)
+
+
+def padded_laplacian(f, g):
+    """The Laplacian written with np.pad(mode="edge") ghost cells."""
+    lead = f.ndim - g.dim
+    out = np.zeros_like(f)
+    for k, h in enumerate(g.spacing):
+        axis = lead + k
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(f.ndim)]
+        p = np.pad(f, pad, mode="edge")
+        lo = [slice(None)] * f.ndim
+        lo[axis] = slice(0, -2)
+        hi = [slice(None)] * f.ndim
+        hi[axis] = slice(2, None)
+        out += (p[tuple(lo)] - 2.0 * f + p[tuple(hi)]) / (h * h)
+    return out
+
+
+@pytest.mark.parametrize("cells,lead", [
+    ((64,), ()), ((2,), ()), ((32, 24), ()), ((64,), (3, 2)), ((32, 24), (3, 2)),
+])
+def test_laplacian_bitwise_equals_padded_formula(cells, lead):
+    g = Grid(cells, tuple(0.5 + k for k in range(len(cells))))
+    f = np.random.default_rng(11).normal(size=lead + cells)
+    f.flat[::5] = 0.0
+    f.flat[1::7] = -0.0
+    out = laplacian_neumann(f, g)
+    assert np.array_equal(out.view(np.int64), padded_laplacian(f, g).view(np.int64))
 
 
 def test_laplacian_constant_is_zero():

@@ -240,6 +240,7 @@ class TestRunSweep:
         runs = report["cells"][0]["runs"]
         assert len(runs) == 2
         assert all("error" in r for r in runs)
+        assert [r["error_type"] for r in runs] == ["ValueError", "ValueError"]
 
     def test_empty_axis_rejected(self, tmp_path):
         base = small_spec(tmp_path)

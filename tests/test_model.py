@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mhrnet.grid import Grid, InvalidFieldError
+from mhrnet.grid import Grid, InvalidFieldError, laplacian_neumann
 from mhrnet.model import (
     NetworkState,
     Parameters,
@@ -21,6 +21,14 @@ def const_state(g, m, u=0.0, v=0.0, w=0.0, rho=0.0):
     x = np.empty((m, 4) + g.shape)
     x[:] = np.reshape([u, v, w, rho], (4,) + (1,) * g.dim)
     return x
+
+
+def loop_coupling(f, strength):
+    """strength * sum_j (f_j - f_i), one j at a time, for every neuron i."""
+    acc = 0.0
+    for j in range(len(f)):
+        acc = acc + (f[j] - f)
+    return strength * acc
 
 
 def random_net(g, m, seed=0):
@@ -161,7 +169,29 @@ class TestCoupling:
         assert np.max(np.abs(sr)) < 1e-13
 
 
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("cells", [(32,), (6, 5)])
+    def test_bitwise_equals_j_loop(self, m, cells):
+        g = Grid(cells, (1.0,) * len(cells))
+        p = Parameters(P=1.7, Q=0.3, m=m)
+        x = random_net(g, m, seed=m).x
+        for k, strength, got in zip((0, 3), (p.P, p.Q), coupling_rhs(x, p)):
+            expected = loop_coupling(x[:, k], strength)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestFullRhs:
+    @pytest.mark.parametrize("m,cells", [(8, (64,)), (2, (2,)), (5, (32, 24)), (3, (2, 5))])
+    def test_bitwise_equals_per_component_assembly(self, m, cells):
+        g = Grid(cells, tuple(1.0 + 0.5 * k for k in range(len(cells))))
+        p = Parameters(P=1.3, Q=0.7, eta1=0.9, eta2=1.1, m=m)
+        x = random_net(g, m, seed=m).x
+        expected = reaction_rhs(x, p)
+        for k, strength, eta in ((0, p.P, p.eta1), (3, p.Q, p.eta2)):
+            expected[:, k] = (expected[:, k] + loop_coupling(x[:, k], strength)
+                              + eta * laplacian_neumann(x[:, k], g))
+        assert np.array_equal(full_rhs(x, p, g).view(np.int64), expected.view(np.int64))
+
     def test_manifold_invariance_bitwise(self):
         g = unit_grid()
         p = Parameters(P=4.0, Q=2.0, m=3)
