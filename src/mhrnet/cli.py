@@ -7,8 +7,6 @@ files and tracebacks of failed cells at -vv.
 """
 
 import argparse
-import dataclasses
-import json
 import logging
 import os
 import re
@@ -26,6 +24,7 @@ from .harness import (
     SweepSpec,
     run_experiment,
     run_sweep,
+    write_json,
 )
 from .integrator import IntegratorConfig
 from .model import Parameters
@@ -33,6 +32,10 @@ from .model import Parameters
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+
+# the top-level keys of a config; any other key is rejected
+CONFIG_KEYS = ("parameters", "grid", "integrator", "initial", "seed", "cstar",
+               "output_dir", "label", "sweep")
 
 
 class ConfigError(Exception):
@@ -118,7 +121,14 @@ def build_grid(cfg):
         raise ConfigError("bad grid section: %s" % err) from err
 
 
+def _check_keys(cfg):
+    unknown = [str(k) for k in cfg if k not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+
+
 def build_spec(cfg, outdir=None, enforce_stability=True):
+    _check_keys(cfg)
     p = build_parameters(cfg)
     g = build_grid(cfg)
     try:
@@ -132,7 +142,6 @@ def build_spec(cfg, outdir=None, enforce_stability=True):
             config=icfg,
             initial=init,
             seed=int(cfg.get("seed", 0)),
-            observables=tuple(cfg.get("observables", ("norms", "energy", "gaps"))),
             output_dir=str(
                 outdir
                 or cfg.get("output_dir")
@@ -159,6 +168,7 @@ def _check_writable(outdir):
 
 def cmd_thresholds(args):
     cfg = apply_overrides(load_config(args.config), args.set)
+    _check_keys(cfg)
     p = build_parameters(cfg)
     g = build_grid(cfg)
     dc = compute_constants(p, g.measure, float(cfg.get("cstar", 1.0)))
@@ -173,9 +183,7 @@ def cmd_thresholds(args):
     for name, value in rows:
         print("%-*s  %.12g" % (width, name, value))
     if args.dump:
-        with open(args.dump, "w") as fh:
-            json.dump(dc.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.dump, dc.as_dict())
     return EXIT_OK
 
 
@@ -232,11 +240,14 @@ def _parser():
         prog="mhrnet",
         description="Memristive diffusive Hindmarsh-Rose network simulator",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log progress to stderr (-vv for more detail)")
+    # -v goes before or after the command; the command's own count wins
+    verbose = argparse.ArgumentParser(add_help=False)
+    for owner, default in ((parser, 0), (verbose, argparse.SUPPRESS)):
+        owner.add_argument("-v", "--verbose", action="count", default=default,
+                           help="log progress to stderr (-vv for more detail)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, parents=[verbose])
     common.add_argument("--config", help="YAML config (default: packaged all-ones scenario)")
     common.add_argument("-s", "--set", action="append", metavar="KEY.PATH=VALUE",
                         help="override a config value by dotted path")
@@ -256,7 +267,7 @@ def _parser():
     p.add_argument("--outdir", help="output directory")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("estimate-cstar",
+    p = sub.add_parser("estimate-cstar", parents=[verbose],
                        help="empirical interpolation-constant estimate for a grid")
     p.add_argument("--cells", type=int, nargs="+", required=True)
     p.add_argument("--extent", type=float, nargs="+", default=None)
@@ -284,15 +295,8 @@ def main(argv=None):
     logger.addHandler(handler)
     logger.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
     try:
-        from .integrator import BlowUpError
-        try:
-            return args.func(args)
-        except BlowUpError:
-            return EXIT_DIVERGED
-    except (ConfigError, ValueError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+        return args.func(args)
+    except (ConfigError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
     finally:

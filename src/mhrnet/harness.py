@@ -34,6 +34,7 @@ __all__ = [
     "generate_initial",
     "run_experiment",
     "run_sweep",
+    "write_json",
     "SCHEMA_VERSION",
     "MAX_PAIR_COLUMNS_M",
 ]
@@ -41,7 +42,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-OBSERVABLES = ("norms", "energy", "gaps")
 IC_MODES = ("uniform-random", "constant-offset", "from-file")
 
 # beyond this neuron count only (max, mean) gap statistics are recorded
@@ -83,19 +83,11 @@ class ExperimentSpec:
     config: IntegratorConfig
     initial: InitialCondition = field(default_factory=InitialCondition)
     seed: int = 0
-    observables: tuple = OBSERVABLES
     output_dir: str = "out"
     cstar: float = 1.0
     label: str = "run"
 
     def __post_init__(self):
-        obs = tuple(self.observables)
-        if not obs:
-            raise ValueError("observable list must not be empty")
-        for name in obs:
-            if name not in OBSERVABLES:
-                raise ValueError("unknown observable %r" % name)
-        object.__setattr__(self, "observables", obs)
         if not self.cstar > 0:
             raise ValueError("cstar must be positive")
 
@@ -112,7 +104,6 @@ class ExperimentSpec:
                 "path": self.initial.path,
             },
             "seed": self.seed,
-            "observables": list(self.observables),
             "cstar": self.cstar,
             "label": self.label,
         }
@@ -179,40 +170,29 @@ def _pairs(m):
     return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
-def _header(spec):
-    m = spec.parameters.m
+def _header(m):
+    """Column names of a sample row: t, the 4m norms, energy, then the gaps."""
     cols = ["t"]
-    if "norms" in spec.observables:
-        for i in range(m):
-            cols += ["u%d_l2" % (i + 1), "v%d_l2" % (i + 1),
-                     "w%d_l2" % (i + 1), "rho%d_l4" % (i + 1)]
-    if "energy" in spec.observables:
-        cols.append("energy")
-    if "gaps" in spec.observables:
-        if m <= MAX_PAIR_COLUMNS_M:
-            cols += ["gap_%d_%d" % (i + 1, j + 1) for i, j in _pairs(m)]
-        else:
-            cols += ["gap_max", "gap_mean"]
-    return cols
+    for i in range(1, m + 1):
+        cols += ["u%d_l2" % i, "v%d_l2" % i, "w%d_l2" % i, "rho%d_l4" % i]
+    cols.append("energy")
+    if m <= MAX_PAIR_COLUMNS_M:
+        return cols + ["gap_%d_%d" % (i + 1, j + 1) for i, j in _pairs(m)]
+    return cols + ["gap_max", "gap_mean"]
 
 
-def _sample(t, net, spec, dc):
-    g = spec.grid
+def _sample(t, net, g, c1):
+    """One row in the layout of _header."""
     row = [t]
     # one norm call per field and one gap call per pair, the counts that the
     # benchmark's layer tracing checks
-    if "norms" in spec.observables:
-        for u, v, w, rho in net.x:
-            row += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
-    if "energy" in spec.observables:
-        row.append(energy_functional(net.x, g, dc.C1))
-    if "gaps" in spec.observables:
-        gaps = [pairwise_gap(net.x, g, i, j) for i, j in _pairs(net.m)]
-        if net.m <= MAX_PAIR_COLUMNS_M:
-            row += gaps
-        else:
-            row += [max(gaps), sum(gaps) / len(gaps)]
-    return row
+    for u, v, w, rho in net.x:
+        row += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
+    row.append(energy_functional(net.x, g, c1))
+    gaps = [pairwise_gap(net.x, g, i, j) for i, j in _pairs(net.m)]
+    if net.m <= MAX_PAIR_COLUMNS_M:
+        return row + gaps
+    return row + [max(gaps), sum(gaps) / len(gaps)]
 
 
 def _write_csv(path, header, rows):
@@ -223,12 +203,21 @@ def _write_csv(path, header, rows):
             writer.writerow(["%.17g" % x for x in row])
 
 
-def _quasinorm_series(header, data, m):
-    """Reassemble the quasi-norm from the recorded norm columns."""
-    total = np.zeros(data.shape[0])
-    for i in range(m):
-        for name, power in (("u%d_l2", 2), ("v%d_l2", 2), ("w%d_l2", 2), ("rho%d_l4", 4)):
-            total += data[:, header.index(name % (i + 1))] ** power
+def write_json(path, obj):
+    """Write obj as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _quasinorm_series(norms):
+    """Reassemble the quasi-norm from the recorded norms, shape (samples, m, 4)."""
+    total = np.zeros(norms.shape[0])
+    # summed neuron by neuron, then component by component; another order
+    # could change the last bit of the envelope margin
+    for i in range(norms.shape[1]):
+        for k, power in enumerate((2, 2, 2, 4)):
+            total += norms[:, i, k] ** power
     return total
 
 
@@ -240,11 +229,10 @@ def run_experiment(spec, extra_observer=None):
     dc = compute_constants(p, g.measure, spec.cstar)
     net0 = generate_initial(spec, spec.seed)
 
-    header = _header(spec)
     rows = []
 
     def observer(t, net):
-        rows.append(_sample(t, net, spec, dc))
+        rows.append(_sample(t, net, g, dc.C1))
         if extra_observer is not None:
             extra_observer(t, net)
 
@@ -256,7 +244,7 @@ def run_experiment(spec, extra_observer=None):
         blowup = err
 
     ts_path = outdir / ("%s_timeseries.csv" % spec.label)
-    _write_csv(ts_path, header, rows)
+    _write_csv(ts_path, _header(p.m), rows)
 
     data = np.array(rows)
     report = {
@@ -266,7 +254,7 @@ def run_experiment(spec, extra_observer=None):
         "derived_constants": dc.as_dict(),
         "thresholds": {
             "P": p.P, "Pmin": dc.Pmin, "P_above": bool(p.P > dc.Pmin),
-            "Q": p.Q, "Qmin": dc.Qmin, "Q_above": bool(p.Q >= dc.Qmin),
+            "Q": p.Q, "Qmin": dc.Qmin, "Q_above": bool(p.Q > dc.Qmin),
         },
         "pairs": {},
         "envelope": None,
@@ -274,45 +262,41 @@ def run_experiment(spec, extra_observer=None):
         "verdict": None,
     }
 
+    # the columns of a row, in the layout of _header
+    m = p.m
     times = data[:, 0]
-    gap_trajs = {}
-    gap_max = None       # the largest gap over all pairs at each sample
-    if "gaps" in spec.observables and p.m <= MAX_PAIR_COLUMNS_M:
-        for i, j in _pairs(p.m):
-            col = header.index("gap_%d_%d" % (i + 1, j + 1))
-            gap_trajs[(i, j)] = data[:, col]
-        gap_max = np.max(list(gap_trajs.values()), axis=0)
-    elif "gaps" in spec.observables:
-        gap_max = data[:, header.index("gap_max")]
+    norms = data[:, 1:1 + 4 * m].reshape(-1, m, 4)
+    gaps = data[:, 2 + 4 * m:]
+    if m <= MAX_PAIR_COLUMNS_M:
+        gap_trajs = dict(zip(_pairs(m), gaps.T))
+        gap_max = gaps.max(axis=1)   # the largest gap over all pairs at each sample
+    else:
+        gap_trajs = {}
+        gap_max = gaps[:, 0]
         report["note"] = ("per-pair rates are not fitted for m > %d; the verdict "
                           "reads the gap_max column" % MAX_PAIR_COLUMNS_M)
 
-    for (i, j), gaps in gap_trajs.items():
+    for (i, j), gap in gap_trajs.items():
         key = "%d-%d" % (i + 1, j + 1)
-        if np.all(gaps == 0.0):
-            report["pairs"][key] = {"rate": None, "window": None, "residual": None,
-                                    "n_samples": 0, "decayed": None,
-                                    "note": "gap identically zero"}
-            log.info("%s pair %s: rate fit skipped: gap identically zero",
-                     spec.label, key)
-            continue
         try:
-            fit = fit_decay_rate(times, np.maximum(gaps, 1e-300))
-            report["pairs"][key] = {
-                "rate": fit.rate, "window": list(fit.window),
-                "residual": fit.residual, "n_samples": fit.n_samples,
-                "decayed": fit.decayed,
-            }
-            log.debug("%s pair %s: rate %.6g over t in [%g, %g]",
-                      spec.label, key, fit.rate, *fit.window)
-        except (FitWindowError, ValueError) as err:
+            if np.all(gap == 0.0):
+                raise FitWindowError("gap identically zero")
+            fit = fit_decay_rate(times, np.maximum(gap, 1e-300))
+        except ValueError as err:
             report["pairs"][key] = {"rate": None, "window": None, "residual": None,
                                     "n_samples": 0, "decayed": None, "note": str(err)}
             log.info("%s pair %s: rate fit skipped: %s", spec.label, key, err)
+            continue
+        report["pairs"][key] = {
+            "rate": fit.rate, "window": list(fit.window),
+            "residual": fit.residual, "n_samples": fit.n_samples,
+            "decayed": fit.decayed,
+        }
+        log.debug("%s pair %s: rate %.6g over t in [%g, %g]",
+                  spec.label, key, fit.rate, *fit.window)
 
-    if "norms" in spec.observables and blowup is None:
-        y = _quasinorm_series(header, data, p.m)
-        env = check_absorbing_envelope(times, y, dc)
+    if blowup is None:
+        env = check_absorbing_envelope(times, _quasinorm_series(norms), dc)
         report["envelope"] = {"passed": env.passed, "max_margin": env.max_margin,
                               "asymptote": dc.envelope_asymptote}
 
@@ -323,20 +307,15 @@ def run_experiment(spec, extra_observer=None):
         report["verdict"] = "diverged"
         report["blowup"] = {"t": blowup.t, "neuron": blowup.neuron,
                             "component": blowup.component}
-    elif gap_max is not None:
-        if np.all(gap_max == 0.0):
-            report["verdict"] = "synchronized (trivial)"
-        elif float(gap_max[-1]) <= 1e-8:
-            report["verdict"] = "synchronized"
-        else:
-            report["verdict"] = "not synchronized"
+    elif np.all(gap_max == 0.0):
+        report["verdict"] = "synchronized (trivial)"
+    elif float(gap_max[-1]) <= 1e-8:
+        report["verdict"] = "synchronized"
     else:
-        report["verdict"] = "completed"
+        report["verdict"] = "not synchronized"
 
     rp_path = outdir / ("%s_report.json" % spec.label)
-    with open(rp_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(rp_path, report)
     if blowup is None:
         log.info("%s: verdict %s", spec.label, report["verdict"])
     else:
@@ -397,7 +376,5 @@ def run_sweep(sweep):
         "cells": cells,
     }
     path = outdir / "sweep_report.json"
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
     return path, report

@@ -37,6 +37,9 @@ SCHEMES = ("explicit-rk4", "imex-be")
 # any state with quasi-norm above this aborts as a blow-up
 QUASI_NORM_CEILING = 1e12
 
+# an explicit-rk4 dt may use at most this fraction of stability_limit
+SAFETY = 0.9
+
 
 class BlowUpError(RuntimeError):
     """The state became non-finite (or unboundedly large) during integration."""
@@ -57,7 +60,6 @@ class IntegratorConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     observe_every: int = 100
-    safety: float = 0.9
     enforce_stability: bool = True
 
     def __post_init__(self):
@@ -70,8 +72,6 @@ class IntegratorConfig:
         if int(self.observe_every) != self.observe_every or self.observe_every < 1:
             raise ValueError("observe_every must be an integer >= 1")
         self.observe_every = int(self.observe_every)
-        if not 0 < self.safety <= 1:
-            raise ValueError("safety must lie in (0, 1]")
 
 
 def stability_limit(g, p):
@@ -187,10 +187,10 @@ def integrate(net0, p, g, cfg, observer=None):
     """
     if cfg.scheme == "explicit-rk4" and cfg.enforce_stability:
         limit = stability_limit(g, p)
-        if cfg.dt > cfg.safety * limit:
+        if cfg.dt > SAFETY * limit:
             raise ValueError(
                 "dt=%g exceeds safety*stability_limit=%g for explicit-rk4"
-                % (cfg.dt, cfg.safety * limit)
+                % (cfg.dt, SAFETY * limit)
             )
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
     n_steps = max(1, math.ceil((cfg.t_end - net0.t) / cfg.dt - 1e-12))

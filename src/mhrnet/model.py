@@ -11,13 +11,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import InvalidFieldError, laplacian_neumann
+from .grid import laplacian_neumann
 
 __all__ = [
     "COMPONENTS",
     "Parameters",
     "NetworkState",
-    "memductance",
     "reaction_rhs",
     "coupling_rhs",
     "full_rhs",
@@ -112,20 +111,13 @@ class NetworkState:
         return int(i), COMPONENTS[k]
 
 
-def memductance(rho, p):
-    """Memristive flux coefficient phi(rho) = c + gamma*rho + delta*rho^2."""
-    rho = np.asarray(rho, dtype=float)
-    if not np.isfinite(rho).all():
-        raise InvalidFieldError("memductance input contains non-finite values")
-    return p.c + p.gamma * rho + p.delta * rho * rho
-
-
 def reaction_rhs(x, p):
     """Pointwise reaction tendencies of a (m, 4, *cells) state, same shape.
 
     Excludes diffusion and network coupling; non-finite values propagate.
     """
     u, v, w, rho = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    # memristive flux coefficient
     phi = p.c + p.gamma * rho + p.delta * rho * rho
     out = np.empty_like(x)
     out[:, 0] = p.a * u * u - p.b * u ** 3 + v - w + p.Je - p.k1 * phi * u

@@ -51,6 +51,10 @@ class TestThresholds:
         assert main(["thresholds", "-s", "parameters.zeta=1"]) == EXIT_CONFIG
         assert "zeta" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_rejected(self, capsys):
+        assert main(["thresholds", "-s", "sed=3"]) == EXIT_CONFIG
+        assert "sed" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["thresholds", "--config", "/nonexistent.yaml"]) == EXIT_CONFIG
 
@@ -69,14 +73,28 @@ class TestSimulate:
         assert "verdict" in capsys.readouterr().out
 
     def test_verbose_logs_verdict_on_stderr(self, tmp_path, capsys):
-        args = ["simulate", "-s", "grid.cells=[16]", "-s", "integrator.t_end=0.2",
+        args = ["-s", "grid.cells=[16]", "-s", "integrator.t_end=0.2",
                 "--outdir", str(tmp_path / "out")]
-        assert main(["-v"] + args) == EXIT_OK
-        captured = capsys.readouterr()
-        verdict = captured.out.splitlines()[0].split(": ", 1)[1]
-        assert "mhrnet.harness: run: verdict %s\n" % verdict in captured.err
-        assert main(args) == EXIT_OK
+        # -v is accepted before and after the command
+        for verbose in (["-v", "simulate"], ["simulate", "-v"]):
+            assert main(verbose + args) == EXIT_OK
+            captured = capsys.readouterr()
+            verdict = captured.out.splitlines()[0].split(": ", 1)[1]
+            assert "mhrnet.harness: run: verdict %s\n" % verdict in captured.err
+        assert main(["simulate"] + args) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("override, name", [
+        ("sed=3", "sed"),
+        ("observables=[norms]", "observables"),
+        ("integrator.safety=0.5", "safety"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, override, name):
+        code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_outdir(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -44,8 +44,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         {"scheme": "euler"}, {"dt": 0.0}, {"dt": -1e-3}, {"t_end": 0.0},
-        {"observe_every": 0}, {"observe_every": 1.5}, {"safety": 0.0},
-        {"safety": 1.5},
+        {"observe_every": 0}, {"observe_every": 1.5},
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -298,6 +297,17 @@ class TestIntegrate:
         cfg = IntegratorConfig(scheme="explicit-rk4", dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
             integrate(const_net(g, 2), p, g, cfg)
+
+    def test_stability_guard_boundary(self):
+        g = unit_grid(64)
+        p = Parameters()
+        edge = 0.9 * stability_limit(g, p)
+        over = IntegratorConfig(scheme="explicit-rk4", dt=edge * (1 + 1e-9), t_end=edge)
+        with pytest.raises(ValueError, match="stability_limit"):
+            integrate(const_net(g, 2), p, g, over)
+        dt = edge * (1 - 1e-9)
+        under = IntegratorConfig(scheme="explicit-rk4", dt=dt, t_end=dt)
+        assert integrate(const_net(g, 2), p, g, under).t == dt
 
     def test_blow_up_reported(self):
         # twice the diffusion stability limit with the guard off: the
