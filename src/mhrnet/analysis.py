@@ -124,7 +124,13 @@ def pairwise_gap(x, g, i, j):
         raise ValueError("pairwise gap needs two distinct neurons")
     if not (0 <= i < len(x) and 0 <= j < len(x)):
         raise IndexError("neuron index out of range")
-    u, v, w, rho = norm_l2(x[i] - x[j], g).tolist()
+    d = x[i] - x[j]
+    d *= d
+    # one midpoint-rule sum per component over its cells as one flat row;
+    # the square roots are squared again as Python floats, which keeps the
+    # bits of the four per-field L2 norms
+    sq = np.add.reduce(d.reshape(len(d), -1), axis=-1) * g.cell_volume
+    u, v, w, rho = np.sqrt(sq).tolist()
     return u ** 2 + v ** 2 + w ** 2 + rho ** 2
 
 

@@ -86,7 +86,8 @@ class Grid:
 
 
 def _check_field(f, g):
-    f = np.asarray(f, dtype=float)
+    if type(f) is not np.ndarray or f.dtype != np.float64:
+        f = np.asarray(f, dtype=float)
     if f.shape[f.ndim - g.dim:] != g.shape:
         raise InvalidFieldError(
             "field shape %s does not end in grid %s" % (f.shape, g.shape)
@@ -131,7 +132,9 @@ def _integral(f, g):
     The grid axes are summed as one flat row, which is how numpy sums a
     single contiguous field.
     """
-    return np.sum(f.reshape(f.shape[:f.ndim - g.dim] + (-1,)), axis=-1) * g.cell_volume
+    if g.dim == 2:
+        f = f.reshape(f.shape[:-2] + (-1,))
+    return np.add.reduce(f, axis=-1) * g.cell_volume
 
 
 def norm_l2(f, g):

@@ -125,6 +125,21 @@ class TestPairwiseGap:
                 assert pairwise_gap(x, g, i, j) == u ** 2 + v ** 2 + w ** 2 + rho ** 2
 
 
+    @pytest.mark.parametrize("cells", [(64,), (8, 6)])
+    def test_bitwise_equals_sum_formula(self, cells):
+        g = Grid(cells, (1.5,) * len(cells))
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, 4) + cells)
+        # the same state stored component-major, as an RK4 run keeps it
+        xk = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
+        for i, j in ((0, 1), (1, 4), (3, 2)):
+            d = x[i] - x[j]
+            sq = np.sum((d * d).reshape(4, -1), axis=-1) * g.cell_volume
+            u, v, w, rho = np.sqrt(sq).tolist()
+            want = u ** 2 + v ** 2 + w ** 2 + rho ** 2
+            assert pairwise_gap(x, g, i, j) == want
+            assert pairwise_gap(xk, g, i, j) == want
+
+
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 20.0, 200)

@@ -166,6 +166,26 @@ def test_stacked_fields_match_single_fields(dim):
             assert h1[i, k] == seminorm_h1(f[i, k], g)
 
 
+def sum_formula_l2(f, g):
+    """norm_l2 written with np.sum over each field's cells as one flat row."""
+    flat = (f * f).reshape(f.shape[:f.ndim - g.dim] + (-1,))
+    return np.sqrt(np.sum(flat, axis=-1) * g.cell_volume)
+
+
+@pytest.mark.parametrize("cells,lead", [
+    ((64,), ()), ((32, 24), ()), ((64,), (3, 4)), ((32, 24), (3, 4)),
+])
+def test_norm_l2_bitwise_equals_sum_formula(cells, lead):
+    g = Grid(cells, tuple(0.5 + k for k in range(len(cells))))
+    f = np.random.default_rng(12).uniform(-2.0, 2.0, size=lead + cells)
+    assert np.array_equal(norm_l2(f, g), sum_formula_l2(f, g))
+    if lead:
+        # the same fields stored component-major, as an RK4 run keeps them
+        fk = np.ascontiguousarray(f.swapaxes(0, 1)).swapaxes(0, 1)
+        assert np.array_equal(norm_l2(fk, g), sum_formula_l2(f, g))
+        assert np.array_equal(norm_l2(fk[:, :3], g), sum_formula_l2(f[:, :3], g))
+
+
 def make_state(g, m, value=1.0):
     return np.full((m, 4) + g.shape, value)
 
