@@ -216,8 +216,10 @@ def _quasinorm_series(norms):
     # summed neuron by neuron, then component by component; another order
     # could change the last bit of the envelope margin
     for i in range(norms.shape[1]):
-        for k, power in enumerate((2, 2, 2, 4)):
-            total += norms[:, i, k] ** power
+        for k in range(4):
+            sq = norms[:, i, k] * norms[:, i, k]
+            # rho enters as its fourth power, formed without array pow
+            total += sq * sq if k == 3 else sq
     return total
 
 

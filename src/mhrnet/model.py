@@ -120,7 +120,9 @@ def reaction_rhs(x, p):
     # memristive flux coefficient
     phi = p.c + p.gamma * rho + p.delta * rho * rho
     out = np.empty_like(x)
-    out[:, 0] = p.a * u * u - p.b * u ** 3 + v - w + p.Je - p.k1 * phi * u
+    # u*u*u, not u**3: numpy's array pow sends negative bases to scalar libm
+    # pow, which is slow and whose last bit depends on the SIMD level
+    out[:, 0] = p.a * u * u - p.b * (u * u * u) + v - w + p.Je - p.k1 * phi * u
     out[:, 1] = p.alpha - p.beta * u * u - v
     out[:, 2] = p.q * (u - p.ue) - p.r * w
     out[:, 3] = u - p.k2 * rho

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mhrnet
 from mhrnet.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_spec, load_config, main
 
 
@@ -162,6 +167,34 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
+
+
+def _has_avx512():
+    from numpy._core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get("AVX512F", False)
+
+
+class TestPortability:
+    @pytest.mark.skipif(not _has_avx512(), reason="numpy reports no AVX512F")
+    @pytest.mark.parametrize("overrides", [
+        ["integrator.t_end=1.0"],
+        ["parameters.m=8", "grid.cells=[64]", "integrator.scheme=explicit-rk4",
+         "integrator.dt=1.0e-4", "integrator.t_end=0.02", "integrator.observe_every=5"],
+    ], ids=["imex-be", "explicit-rk4"])
+    def test_csv_bytes_independent_of_simd_level(self, tmp_path, capsys, overrides):
+        # the same run with numpy's AVX-512 kernels switched off, as on a CPU
+        # without them, must write the same bytes
+        args = [a for o in overrides for a in ("-s", o)]
+        assert main(["simulate"] + args + ["--outdir", str(tmp_path / "on")]) == EXIT_OK
+        src = str(Path(mhrnet.__file__).resolve().parent.parent)
+        env = dict(os.environ,
+                   NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "mhrnet.cli", "simulate"] + args
+                       + ["--outdir", str(tmp_path / "off")],
+                       env=env, check=True, capture_output=True)
+        on, off = ((tmp_path / d / "run_timeseries.csv").read_bytes() for d in ("on", "off"))
+        assert on == off
 
 
 class TestSweep:

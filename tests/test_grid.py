@@ -186,6 +186,19 @@ def test_norm_l2_bitwise_equals_sum_formula(cells, lead):
         assert np.array_equal(norm_l2(fk[:, :3], g), sum_formula_l2(f[:, :3], g))
 
 
+@pytest.mark.parametrize("cells", [(64,), (32, 24)])
+def test_norm_l4_bitwise_equals_product_formula(cells):
+    # (f*f)*(f*f), not f**4: numpy's pow takes a scalar libm path for
+    # negative bases whose last bit depends on the SIMD level
+    g = Grid(cells, (1.5,) * len(cells))
+    f = np.random.default_rng(13).uniform(-2.0, 2.0, size=(16,) + cells)
+    stacked = norm_l4(f, g)
+    for k in range(16):
+        want = (np.sum((f[k] * f[k]) * (f[k] * f[k])) * g.cell_volume) ** 0.25
+        assert norm_l4(f[k], g) == want
+        assert stacked[k] == want
+
+
 def make_state(g, m, value=1.0):
     return np.full((m, 4) + g.shape, value)
 

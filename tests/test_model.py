@@ -143,6 +143,20 @@ class TestReaction:
         assert not mask[1].any()
 
 
+    def test_du_bitwise_equals_product_formula(self):
+        # u*u*u, not u**3: numpy's pow takes a scalar libm path for negative
+        # u whose last bit depends on the SIMD level, so it must not appear
+        g = unit_grid(256)
+        p = Parameters(a=1.3, b=0.7, k1=0.9, c=0.2, gamma=1.1, delta=0.4, Je=0.3)
+        x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 4) + g.shape)
+        u, v, w, rho = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+        assert (u < 0).any() and (u > 0).any()
+        phi = p.c + p.gamma * rho + p.delta * rho * rho
+        want = p.a * u * u - p.b * (u * u * u) + v - w + p.Je - p.k1 * phi * u
+        du = reaction_rhs(x, p)[:, 0]
+        assert np.array_equal(du.view(np.int64), want.view(np.int64))
+
+
 class TestCoupling:
     def test_identical_neurons_zero(self):
         g = unit_grid()
