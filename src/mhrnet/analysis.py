@@ -74,8 +74,8 @@ def compute_constants(p, omega_measure, cstar=1.0):
     """
     if not omega_measure > 0:
         raise ValueError("omega_measure must be positive")
-    if not cstar > 0:
-        raise ValueError("cstar must be positive")
+    if not (cstar > 0 and math.isfinite(cstar)):
+        raise ValueError("cstar must be positive and finite")
     b, r, k2, beta, delta = p.b, p.r, p.k2, p.beta, p.delta
     gam, k1, m = p.gamma, p.k1, p.m
 

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,8 +89,8 @@ class ExperimentSpec:
     label: str = "run"
 
     def __post_init__(self):
-        if not self.cstar > 0:
-            raise ValueError("cstar must be positive")
+        if not (self.cstar > 0 and math.isfinite(self.cstar)):
+            raise ValueError("cstar must be positive and finite")
 
     def echo(self):
         """Self-contained description embedded in every report."""

@@ -65,10 +65,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError("unknown scheme %r, expected one of %s" % (self.scheme, SCHEMES))
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (self.t_end > 0 and math.isfinite(self.t_end)):
+            raise ValueError("t_end must be positive and finite")
         if int(self.observe_every) != self.observe_every or self.observe_every < 1:
             raise ValueError("observe_every must be an integer >= 1")
         self.observe_every = int(self.observe_every)

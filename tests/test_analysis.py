@@ -76,6 +76,8 @@ class TestConstants:
             compute_constants(Parameters(), 0.0)
         with pytest.raises(ValueError):
             compute_constants(Parameters(), 1.0, cstar=0.0)
+        with pytest.raises(ValueError):
+            compute_constants(Parameters(), 1.0, cstar=float("inf"))
 
     def test_as_dict_roundtrip(self):
         dc = compute_constants(Parameters(), 2.0, 1.5)

@@ -60,6 +60,11 @@ class TestThresholds:
         assert main(["thresholds", "-s", "sed=3"]) == EXIT_CONFIG
         assert "sed" in capsys.readouterr().err
 
+    def test_nonfinite_cstar_rejected(self, capsys):
+        assert main(["thresholds", "-s", "cstar=.inf"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         assert main(["thresholds", "--config", "/nonexistent.yaml"]) == EXIT_CONFIG
 
@@ -99,6 +104,18 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and name in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, name", [
+        ("integrator.t_end=.inf", "t_end"),
+        ("integrator.dt=.inf", "dt"),
+        ("cstar=.inf", "cstar"),
+    ])
+    def test_nonfinite_value_rejected(self, tmp_path, capsys, override, name):
+        code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err and "finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_outdir(self, tmp_path, capsys):

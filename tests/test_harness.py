@@ -128,6 +128,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(tmp_path, cstar=0.0)
 
+    def test_cstar_finite(self, tmp_path):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                small_spec(tmp_path, cstar=bad)
+
 
 class TestRunExperiment:
     def test_outputs_and_schema(self, tmp_path):

@@ -45,6 +45,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"scheme": "euler"}, {"dt": 0.0}, {"dt": -1e-3}, {"t_end": 0.0},
         {"observe_every": 0}, {"observe_every": 1.5},
+        {"dt": float("inf")}, {"t_end": float("inf")},
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
