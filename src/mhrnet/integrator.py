@@ -193,7 +193,7 @@ def integrate(net0, p, g, cfg, observer=None):
                 % (cfg.dt, SAFETY * limit)
             )
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
-    if step is step_rk4:
+    if cfg.scheme == "explicit-rk4":
         # component-major memory, still an (m, 4, *cells) view: each x[:, k]
         # is one contiguous block, and numpy's order-K results keep that
         # layout through every stage; the arithmetic is the same
