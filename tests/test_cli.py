@@ -187,7 +187,14 @@ class TestSimulate:
 
 
 def _has_avx512():
-    from numpy._core._multiarray_umath import __cpu_features__
+    # a private module, named numpy.core before numpy 2
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        try:
+            from numpy.core._multiarray_umath import __cpu_features__
+        except ImportError:
+            return False
     return __cpu_features__.get("AVX512F", False)
 
 
