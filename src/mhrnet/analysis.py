@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import norm_l2, norm_l4, seminorm_h1, smooth_field
+from .grid import _check_field, norm_l2, norm_l4, seminorm_h1, smooth_field
 
 __all__ = [
     "DerivedConstants",
@@ -124,6 +124,7 @@ def pairwise_gap(x, g, i, j):
         raise ValueError("pairwise gap needs two distinct neurons")
     if not (0 <= i < len(x) and 0 <= j < len(x)):
         raise IndexError("neuron index out of range")
+    x = _check_field(x, g)
     d = x[i] - x[j]
     d *= d
     # one midpoint-rule sum per component over its cells as one flat row;

