@@ -193,12 +193,6 @@ def integrate(net0, p, g, cfg, observer=None):
                 % (cfg.dt, SAFETY * limit)
             )
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
-    if cfg.scheme == "explicit-rk4":
-        # component-major memory, still an (m, 4, *cells) view: each x[:, k]
-        # is one contiguous block, and numpy's order-K results keep that
-        # layout through every stage; the arithmetic is the same
-        net0 = NetworkState(np.ascontiguousarray(net0.x.swapaxes(0, 1)).swapaxes(0, 1),
-                            net0.t)
     n_steps = max(1, math.ceil((cfg.t_end - net0.t) / cfg.dt - 1e-12))
     net = net0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -137,11 +137,9 @@ def coupling_rhs(x, p):
     leading axis, which still adds one j at a time in index order for each
     neuron i (the j == i term is identically zero).  That makes the terms
     bitwise reproducible and the synchronization manifold exactly invariant.
-    The differences are laid out in C order whatever the layout of x: the
-    reduction runs fastest that way, also on a component-major RK4 state.
     """
     f = x[:, ::3]
-    c = np.sum(np.subtract(f[:, None], f[None, :], order="C"), axis=0, initial=0.0)
+    c = np.sum(f[:, None] - f[None, :], axis=0, initial=0.0)
     return p.P * c[:, 0], p.Q * c[:, 1]
 
 

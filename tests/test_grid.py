@@ -179,11 +179,6 @@ def test_norm_l2_bitwise_equals_sum_formula(cells, lead):
     g = Grid(cells, tuple(0.5 + k for k in range(len(cells))))
     f = np.random.default_rng(12).uniform(-2.0, 2.0, size=lead + cells)
     assert np.array_equal(norm_l2(f, g), sum_formula_l2(f, g))
-    if lead:
-        # the same fields stored component-major, as an RK4 run keeps them
-        fk = np.ascontiguousarray(f.swapaxes(0, 1)).swapaxes(0, 1)
-        assert np.array_equal(norm_l2(fk, g), sum_formula_l2(f, g))
-        assert np.array_equal(norm_l2(fk[:, :3], g), sum_formula_l2(f[:, :3], g))
 
 
 @pytest.mark.parametrize("cells", [(64,), (32, 24)])

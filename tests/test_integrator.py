@@ -118,21 +118,6 @@ class TestRk4:
         with pytest.raises(ValueError):
             step_rk4(const_net(g, 2), Parameters(), g, 0.0)
 
-    @pytest.mark.parametrize("m", [2, 9, 17])
-    @pytest.mark.parametrize("cells", [(64,), (32, 24)])
-    def test_component_major_step_bitwise_equals_c_order(self, m, cells):
-        # integrate keeps an RK4 state component-major; each stage must give
-        # the bits of the C-order step and keep every x[:, k] contiguous
-        g = Grid(cells, (1.0,) * len(cells))
-        p = Parameters(m=m, P=3.0, Q=2.0)
-        x = np.random.default_rng(m).uniform(-2.0, 2.0, size=(m, 4) + cells)
-        xk = np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
-        a, b = NetworkState(x), NetworkState(xk)
-        for _ in range(2):
-            a, b = step_rk4(a, p, g, 1e-5), step_rk4(b, p, g, 1e-5)
-        assert np.array_equal(a.x.view(np.int64), b.x.view(np.int64))
-        assert all(b.x[:, k].flags.c_contiguous for k in range(4))
-
 
 class TestImplicitDiffusion:
     def test_constant_unchanged(self):
