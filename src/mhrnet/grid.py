@@ -86,8 +86,7 @@ class Grid:
 
 
 def _check_field(f, g):
-    if type(f) is not np.ndarray or f.dtype != np.float64:
-        f = np.asarray(f, dtype=float)
+    f = np.asarray(f, dtype=float)
     if f.shape[f.ndim - g.dim:] != g.shape:
         raise InvalidFieldError(
             "field shape %s does not end in grid %s" % (f.shape, g.shape)

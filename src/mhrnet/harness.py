@@ -217,10 +217,11 @@ def _quasinorm_series(norms):
     # summed neuron by neuron, then component by component; another order
     # could change the last bit of the envelope margin
     for i in range(norms.shape[1]):
-        for k in range(4):
-            sq = norms[:, i, k] * norms[:, i, k]
-            # rho enters as its fourth power, formed without array pow
-            total += sq * sq if k == 3 else sq
+        for k in range(3):
+            total += norms[:, i, k] ** 2
+        # rho enters as its fourth power, formed without array pow
+        s = norms[:, i, 3] * norms[:, i, 3]
+        total += s * s
     return total
 
 
