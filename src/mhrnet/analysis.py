@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _check_field, norm_l2, norm_l4, seminorm_h1, smooth_field
+from .grid import _check_field, _integral, norm_l2, norm_l4, seminorm_h1, smooth_field
 
 __all__ = [
     "DerivedConstants",
@@ -118,7 +118,8 @@ def compute_constants(p, omega_measure, cstar=1.0):
 def pairwise_gap(x, g, i, j):
     """Squared E-norm gap ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
 
-    i and j index neurons of the (m, 4, *cells) state x.
+    i and j index neurons of the (m, 4, *cells) state x.  The four integrals
+    are summed with math.fsum, as in grid.energy_functional.
     """
     if i == j:
         raise ValueError("pairwise gap needs two distinct neurons")
@@ -127,12 +128,7 @@ def pairwise_gap(x, g, i, j):
     x = _check_field(x, g)
     d = x[i] - x[j]
     d *= d
-    # one midpoint-rule sum per component over its cells as one flat row;
-    # the square roots are squared again as Python floats, which keeps the
-    # bits of the four per-field L2 norms
-    sq = np.add.reduce(d.reshape(len(d), -1), axis=-1) * g.cell_volume
-    u, v, w, rho = np.sqrt(sq).tolist()
-    return u ** 2 + v ** 2 + w ** 2 + rho ** 2
+    return math.fsum(_integral(d, g).tolist())
 
 
 @dataclass(frozen=True)

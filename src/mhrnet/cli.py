@@ -8,7 +8,6 @@ files and tracebacks of failed cells at -vv.
 
 import argparse
 import logging
-import os
 import re
 import sys
 from importlib import resources
@@ -127,13 +126,12 @@ def _check_keys(cfg):
         raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
 
 
-def build_spec(cfg, outdir=None, enforce_stability=True):
+def build_spec(cfg, outdir=None):
     _check_keys(cfg)
     p = build_parameters(cfg)
     g = build_grid(cfg)
     try:
-        icfg = IntegratorConfig(enforce_stability=enforce_stability,
-                                **cfg.get("integrator", {}))
+        icfg = IntegratorConfig(**cfg.get("integrator", {}))
         init_section = dict(cfg.get("initial", {}))
         init = InitialCondition(**init_section)
         spec = ExperimentSpec(
@@ -141,12 +139,8 @@ def build_spec(cfg, outdir=None, enforce_stability=True):
             grid=g,
             config=icfg,
             initial=init,
-            seed=int(cfg.get("seed", 0)),
-            output_dir=str(
-                outdir
-                or cfg.get("output_dir")
-                or os.environ.get("MHRNET_OUTDIR", "out")
-            ),
+            seed=cfg.get("seed", 0),
+            output_dir=str(outdir or cfg.get("output_dir") or "out"),
             cstar=float(cfg.get("cstar", 1.0)),
             label=str(cfg.get("label", "run")),
         )
@@ -189,8 +183,9 @@ def cmd_thresholds(args):
 
 def cmd_simulate(args):
     cfg = apply_overrides(load_config(args.config), args.set)
-    spec = build_spec(cfg, outdir=args.outdir,
-                      enforce_stability=not args.no_stability_guard)
+    if args.no_stability_guard:
+        cfg.setdefault("integrator", {})["enforce_stability"] = False
+    spec = build_spec(cfg, outdir=args.outdir)
     _check_writable(spec.output_dir)
     result = run_experiment(spec)
     print("verdict: %s" % result.report["verdict"])
@@ -258,13 +253,14 @@ def _parser():
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("simulate", parents=[common], help="run one experiment")
-    p.add_argument("--outdir", help="output directory (overrides config / $MHRNET_OUTDIR)")
+    p.add_argument("--outdir", help="output directory (overrides the config's output_dir)")
     p.add_argument("--no-stability-guard", action="store_true",
-                   help="skip the explicit-scheme stability check")
+                   help="skip the explicit-scheme stability check "
+                        "(sets integrator.enforce_stability=false)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common], help="run a (P, Q) coupling sweep")
-    p.add_argument("--outdir", help="output directory")
+    p.add_argument("--outdir", help="output directory (overrides the config's output_dir)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("estimate-cstar", parents=[verbose],

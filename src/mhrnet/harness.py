@@ -71,8 +71,10 @@ class InitialCondition:
                 raise ValueError("bad amplitude box for %r: (%r, %r)" % (comp, lo, hi))
             amp[comp] = (lo, hi)
         object.__setattr__(self, "amplitude", amp)
-        if self.smoothing_passes < 0:
-            raise ValueError("smoothing_passes must be >= 0")
+        n = self.smoothing_passes
+        if not (math.isfinite(n) and int(n) == n and n >= 0):
+            raise ValueError("smoothing_passes must be an integer >= 0")
+        object.__setattr__(self, "smoothing_passes", int(n))
         if self.mode == "from-file" and not self.path:
             raise ValueError("mode 'from-file' needs a path")
 
@@ -91,6 +93,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (self.cstar > 0 and math.isfinite(self.cstar)):
             raise ValueError("cstar must be positive and finite")
+        if not (math.isfinite(self.seed) and int(self.seed) == self.seed):
+            raise ValueError("seed must be an integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def echo(self):
         """Self-contained description embedded in every report."""
@@ -212,17 +217,14 @@ def write_json(path, obj):
 
 
 def _quasinorm_series(norms):
-    """Reassemble the quasi-norm from the recorded norms, shape (samples, m, 4)."""
-    total = np.zeros(norms.shape[0])
-    # summed neuron by neuron, then component by component; another order
-    # could change the last bit of the envelope margin
-    for i in range(norms.shape[1]):
-        for k in range(3):
-            total += norms[:, i, k] ** 2
-        # rho enters as its fourth power, formed without array pow
-        s = norms[:, i, 3] * norms[:, i, 3]
-        total += s * s
-    return total
+    """The quasi-norm of each sample from the recorded norms, shape (samples, m, 4).
+
+    Squared L2 norms and fourth powers of the L4 norms, summed per sample
+    with math.fsum, as grid.energy_functional sums its integrals.
+    """
+    terms = norms * norms
+    terms[..., 3] *= terms[..., 3]
+    return np.array([math.fsum(row) for row in terms.reshape(len(terms), -1).tolist()])
 
 
 def run_experiment(spec, extra_observer=None):
@@ -323,7 +325,7 @@ def run_experiment(spec, extra_observer=None):
     if blowup is None:
         log.info("%s: verdict %s", spec.label, report["verdict"])
     else:
-        log.info("%s: verdict diverged, %s", spec.label, str(blowup).strip())
+        log.info("%s: verdict diverged, %s", spec.label, blowup)
     log.debug("%s: wrote %s and %s", spec.label, ts_path, rp_path)
     return ExperimentResult(ts_path, rp_path, report)
 

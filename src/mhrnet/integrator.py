@@ -48,10 +48,12 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.neuron = neuron
         self.component = component
-        where = ""
+        msg = "blow-up detected at t=%.6g" % t
         if neuron is not None:
-            where = " (neuron %d, component %s)" % (neuron, component)
-        super().__init__("blow-up detected at t=%.6g%s %s" % (t, where, detail))
+            msg += " (neuron %d, component %s)" % (neuron, component)
+        if detail:
+            msg += " " + detail
+        super().__init__(msg)
 
 
 @dataclass
@@ -69,9 +71,12 @@ class IntegratorConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be positive and finite")
-        if int(self.observe_every) != self.observe_every or self.observe_every < 1:
+        n = self.observe_every
+        if not (math.isfinite(n) and int(n) == n and n >= 1):
             raise ValueError("observe_every must be an integer >= 1")
-        self.observe_every = int(self.observe_every)
+        self.observe_every = int(n)
+        if not isinstance(self.enforce_stability, bool):
+            raise ValueError("enforce_stability must be true or false")
 
 
 def stability_limit(g, p):

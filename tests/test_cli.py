@@ -118,6 +118,20 @@ class TestSimulate:
         assert err.count("\n") == 1 and name in err and "finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, name", [
+        ("parameters.m=.inf", "'m'"),
+        ("integrator.observe_every=.inf", "observe_every"),
+        ("seed=.inf", "seed"),
+        ("initial.smoothing_passes=.inf", "smoothing_passes"),
+        ("grid.cells=[.inf]", "cells"),
+    ])
+    def test_infinite_integer_rejected(self, tmp_path, capsys, override, name):
+        code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err and "integer" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_outdir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -135,6 +149,18 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--no-stability-guard",
                      "--outdir", str(tmp_path / "out")])
         assert code == EXIT_DIVERGED
+
+    def test_stability_guard_off_by_config_key(self, tmp_path, capsys):
+        # the same run as test_divergence_exit_code, with the guard switched
+        # off through the config key instead of --no-stability-guard
+        code = main(["simulate", "-s", "grid.cells=[64]", "-s", "integrator.scheme=explicit-rk4",
+                     "-s", "integrator.dt=5.0e-3", "-s", "integrator.t_end=5.0",
+                     "-s", "integrator.observe_every=10",
+                     "-s", "integrator.enforce_stability=false",
+                     "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_DIVERGED
+        report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+        assert report["spec"]["integrator"]["enforce_stability"] is False
 
     def test_imex_blow_up_between_checks(self, tmp_path, capsys):
         # the state turns non-finite at step 7, long before the first
@@ -236,6 +262,21 @@ class TestSweep:
         report = json.loads((tmp_path / "out" / "sweep_report.json").read_text())
         assert len(report["cells"]) == 1
         assert "Pmin" in capsys.readouterr().out
+
+    def test_stability_guard_off_by_config_key(self, tmp_path, capsys):
+        # dt is five times the explicit limit: with the guard on the run fails
+        # as a config error, with it off it diverges
+        args = ["sweep", "-s", "grid.cells=[16]", "-s", "integrator.scheme=explicit-rk4",
+                "-s", "integrator.dt=1.0e-2", "-s", "integrator.t_end=5.0",
+                "-s", "sweep.P=[1.0]", "-s", "sweep.seeds=[1]"]
+        for guard, outcome in (("true", {"error_type": "ValueError"}),
+                               ("false", {"verdict": "diverged"})):
+            out = tmp_path / guard
+            code = main(args + ["-s", "integrator.enforce_stability=" + guard,
+                                "--outdir", str(out)])
+            assert code == EXIT_OK
+            (run,) = json.loads((out / "sweep_report.json").read_text())["cells"][0]["runs"]
+            assert outcome.items() <= run.items()
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         cfg = load_config(None)

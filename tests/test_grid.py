@@ -226,6 +226,16 @@ def test_energy_functional():
         energy_functional(x, g, 0.0)
 
 
+@pytest.mark.parametrize("m", [8, 17])
+def test_energy_functional_exactly_permutation_invariant(m):
+    g = Grid((12, 10), (1.0, 0.5))
+    rng = np.random.default_rng(m)
+    x = rng.uniform(-2.0, 2.0, size=(m, 4) + g.shape)
+    for perm in [rng.permutation(m) for _ in range(4)] + [np.arange(m)[::-1]]:
+        for c1 in (1.0, 5.0):
+            assert energy_functional(x[perm], g, c1) == energy_functional(x, g, c1)
+
+
 def test_smoothing_reduces_h1_monotonically():
     g = unit_grid(64)
     rng = np.random.default_rng(3)

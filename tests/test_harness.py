@@ -13,6 +13,7 @@ from mhrnet.harness import (
     run_experiment,
     run_sweep,
     SCHEMA_VERSION,
+    _quasinorm_series,
 )
 from mhrnet.integrator import IntegratorConfig
 from mhrnet.model import Parameters
@@ -117,8 +118,9 @@ class TestInitialCondition:
             InitialCondition(mode="gaussian")
         with pytest.raises(ValueError):
             InitialCondition(amplitude={"u": (1.0, -1.0)})
-        with pytest.raises(ValueError):
-            InitialCondition(smoothing_passes=-1)
+        for bad in (-1, 1.5):
+            with pytest.raises(ValueError):
+                InitialCondition(smoothing_passes=bad)
         with pytest.raises(ValueError):
             InitialCondition(mode="from-file")
 
@@ -128,6 +130,14 @@ class TestSpecValidation:
         for bad in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 small_spec(tmp_path, cstar=bad)
+
+
+@pytest.mark.parametrize("m", [8, 17])
+def test_quasinorm_series_exactly_permutation_invariant(m):
+    rng = np.random.default_rng(m)
+    norms = rng.uniform(0.0, 3.0, size=(40, m, 4))
+    for perm in [rng.permutation(m) for _ in range(4)] + [np.arange(m)[::-1]]:
+        assert np.array_equal(_quasinorm_series(norms[:, perm]), _quasinorm_series(norms))
 
 
 class TestRunExperiment:

@@ -45,7 +45,7 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"scheme": "euler"}, {"dt": 0.0}, {"dt": -1e-3}, {"t_end": 0.0},
         {"observe_every": 0}, {"observe_every": 1.5},
-        {"dt": float("inf")}, {"t_end": float("inf")},
+        {"dt": float("inf")}, {"t_end": float("inf")}, {"enforce_stability": "maybe"},
     ])
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -340,3 +340,5 @@ class TestIntegrate:
             integrate(net, p, g, cfg)
         assert 0.0 < info.value.t == first.t < 100.0
         assert (info.value.neuron, info.value.component) == first.first_nonfinite()
+        assert str(info.value) == "blow-up detected at t=%.6g (neuron %d, component %s)" % (
+            first.t, *first.first_nonfinite())
