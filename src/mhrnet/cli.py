@@ -182,9 +182,9 @@ def cmd_thresholds(args):
 
 
 def cmd_simulate(args):
-    cfg = apply_overrides(load_config(args.config), args.set)
     if args.no_stability_guard:
-        cfg.setdefault("integrator", {})["enforce_stability"] = False
+        args.set = (args.set or []) + ["integrator.enforce_stability=false"]
+    cfg = apply_overrides(load_config(args.config), args.set)
     spec = build_spec(cfg, outdir=args.outdir)
     _check_writable(spec.output_dir)
     result = run_experiment(spec)
