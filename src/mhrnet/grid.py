@@ -46,7 +46,7 @@ class Grid:
     extents: tuple
 
     def __post_init__(self):
-        if not all(math.isfinite(n) and int(n) == n for n in np.atleast_1d(self.cells)):
+        if not all(math.isfinite(float(n)) and int(n) == n for n in np.atleast_1d(self.cells)):
             raise ValueError("cells must be integers, got %s" % (self.cells,))
         cells = tuple(int(n) for n in np.atleast_1d(self.cells))
         extents = tuple(float(L) for L in np.atleast_1d(self.extents))

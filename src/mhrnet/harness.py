@@ -72,7 +72,7 @@ class InitialCondition:
             amp[comp] = (lo, hi)
         object.__setattr__(self, "amplitude", amp)
         n = self.smoothing_passes
-        if not (math.isfinite(n) and int(n) == n and n >= 0):
+        if not (math.isfinite(float(n)) and int(n) == n and n >= 0):
             raise ValueError("smoothing_passes must be an integer >= 0")
         object.__setattr__(self, "smoothing_passes", int(n))
         if self.mode == "from-file" and not self.path:
@@ -93,7 +93,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (self.cstar > 0 and math.isfinite(self.cstar)):
             raise ValueError("cstar must be positive and finite")
-        if not (math.isfinite(self.seed) and int(self.seed) == self.seed):
+        if not (math.isfinite(float(self.seed)) and int(self.seed) == self.seed):
             raise ValueError("seed must be an integer")
         object.__setattr__(self, "seed", int(self.seed))
 

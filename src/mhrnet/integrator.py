@@ -72,7 +72,7 @@ class IntegratorConfig:
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be positive and finite")
         n = self.observe_every
-        if not (math.isfinite(n) and int(n) == n and n >= 1):
+        if not (math.isfinite(float(n)) and int(n) == n and n >= 1):
             raise ValueError("observe_every must be an integer >= 1")
         self.observe_every = int(n)
         if not isinstance(self.enforce_stability, bool):

@@ -70,7 +70,7 @@ class Parameters:
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0.0:
                 raise ValueError("parameter %r must be nonnegative, got %r" % (name, val))
-        if not (np.isfinite(self.m) and int(self.m) == self.m and self.m >= 2):
+        if not (np.isfinite(float(self.m)) and int(self.m) == self.m and self.m >= 2):
             raise ValueError("parameter 'm' must be an integer >= 2, got %r" % (self.m,))
         object.__setattr__(self, "m", int(self.m))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,9 @@ def test_grid_validation():
         Grid((8,), (-1.0,))
     with pytest.raises(ValueError):
         Grid((8, 8), (1.0,))
+    for cells in ((8.5,), (float("inf"),)):
+        with pytest.raises(ValueError):
+            Grid(cells, (1.0,))
 
 
 def test_grid_geometry():
@@ -234,6 +239,18 @@ def test_energy_functional_exactly_permutation_invariant(m):
     for perm in [rng.permutation(m) for _ in range(4)] + [np.arange(m)[::-1]]:
         for c1 in (1.0, 5.0):
             assert energy_functional(x[perm], g, c1) == energy_functional(x, g, c1)
+
+
+@pytest.mark.parametrize("cells", [(64,), (12, 10)])
+def test_energy_functional_bitwise_equals_fsum_formula(cells):
+    g = Grid(cells, (1.5,) * len(cells))
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 4) + cells)
+    terms = []
+    for u, v, w, rho in x:
+        terms += [np.sum(u * u) * g.cell_volume * 5.0, np.sum(v * v) * g.cell_volume,
+                  np.sum(w * w) * g.cell_volume,
+                  np.sum((rho * rho) * (rho * rho)) * g.cell_volume]
+    assert energy_functional(x, g, 5.0) == math.fsum(terms)
 
 
 def test_smoothing_reduces_h1_monotonically():
