@@ -26,7 +26,7 @@ from .harness import (
     write_json,
 )
 from .integrator import IntegratorConfig
-from .model import Parameters
+from .model import Parameters, real
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,7 +141,7 @@ def build_spec(cfg, outdir=None):
             initial=init,
             seed=cfg.get("seed", 0),
             output_dir=str(outdir or cfg.get("output_dir") or "out"),
-            cstar=float(cfg.get("cstar", 1.0)),
+            cstar=cfg.get("cstar", 1.0),
             label=str(cfg.get("label", "run")),
         )
     except (TypeError, ValueError) as err:
@@ -165,7 +165,7 @@ def cmd_thresholds(args):
     _check_keys(cfg)
     p = build_parameters(cfg)
     g = build_grid(cfg)
-    dc = compute_constants(p, g.measure, float(cfg.get("cstar", 1.0)))
+    dc = compute_constants(p, g.measure, real("cstar", cfg.get("cstar", 1.0)))
     rows = [
         ("C1", dc.C1), ("C2", dc.C2), ("lambda", dc.lam), ("M", dc.M),
         ("K", dc.K), ("Cmult", dc.Cmult), ("Pmin", dc.Pmin), ("Qmin", dc.Qmin),
@@ -202,7 +202,6 @@ def cmd_sweep(args):
     if not isinstance(section, dict):
         raise ConfigError("config is missing the 'sweep' section")
     base = build_spec(cfg, outdir=args.outdir)
-    _check_writable(base.output_dir)
     try:
         sweep = SweepSpec(
             base=base,
@@ -212,6 +211,7 @@ def cmd_sweep(args):
         )
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
+    _check_writable(base.output_dir)
     path, report = run_sweep(sweep)
     print("sweep report: %s" % path)
     print("Pmin=%.6g Qmin=%.6g" % (report["Pmin"], report["Qmin"]))

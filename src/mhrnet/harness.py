@@ -2,9 +2,10 @@
 
 Timeseries go to plain CSV (17 significant digits, so reruns are
 byte-identical); reports go to JSON with a mandatory schema_version field.
+A sweep integrates all its runs as one batch; each run's files are the
+same bytes as those of the run alone.
 """
 
-import csv
 import dataclasses
 import json
 import logging
@@ -24,8 +25,8 @@ from .analysis import (
     pairwise_gap,
 )
 from .grid import Grid, energy_functional, norm_l2, norm_l4, smooth_field
-from .integrator import BlowUpError, IntegratorConfig, integrate
-from .model import COMPONENTS, NetworkState, Parameters
+from .integrator import BlowUpError, IntegratorConfig, integrate, step_count
+from .model import COMPONENTS, NetworkState, Parameters, real
 
 __all__ = [
     "InitialCondition",
@@ -91,10 +92,13 @@ class ExperimentSpec:
     label: str = "run"
 
     def __post_init__(self):
-        if not (self.cstar > 0 and math.isfinite(self.cstar)):
+        cstar = real("cstar", self.cstar)
+        if not cstar > 0:
             raise ValueError("cstar must be positive and finite")
-        if not (math.isfinite(float(self.seed)) and int(self.seed) == self.seed):
-            raise ValueError("seed must be an integer")
+        object.__setattr__(self, "cstar", cstar)
+        if not (math.isfinite(float(self.seed)) and int(self.seed) == self.seed
+                and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0, got %r" % (self.seed,))
         object.__setattr__(self, "seed", int(self.seed))
 
     def echo(self):
@@ -128,6 +132,9 @@ class SweepSpec:
             if not vals:
                 raise ValueError("%s must not be empty" % name)
             object.__setattr__(self, name, vals)
+        # each seed must pass ExperimentSpec's check before any run starts
+        for seed in self.seeds:
+            dataclasses.replace(self.base, seed=seed)
 
 
 @dataclass
@@ -202,11 +209,11 @@ def _sample(t, net, g, c1):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["%.17g" % x for x in row])
+    """header and rows as comma-separated lines, each value in %.17g."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([line % tuple(row) for row in rows]))
 
 
 def write_json(path, obj):
@@ -229,26 +236,40 @@ def _quasinorm_series(norms):
 
 def run_experiment(spec, extra_observer=None):
     """Integrate one experiment; write a timeseries CSV and a JSON report."""
-    outdir = Path(spec.output_dir)
+    return _run_batch([spec], extra_observer)[0]
+
+
+def _run_batch(specs, extra_observer=None):
+    """Integrate specs as one batch; write each one's timeseries CSV and JSON report.
+
+    The specs differ at most in P, Q, seed and label.  Returns one
+    ExperimentResult per spec, each the same as that spec's run alone.
+    """
+    base = specs[0]
+    outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    p, g, cfg = spec.parameters, spec.grid, spec.config
-    dc = compute_constants(p, g.measure, spec.cstar)
-    net0 = generate_initial(spec, spec.seed)
+    g, cfg = base.grid, base.config
+    consts = [compute_constants(s.parameters, g.measure, s.cstar) for s in specs]
+    nets = [generate_initial(s, s.seed) for s in specs]
+    rows = [[] for _ in specs]
 
-    rows = []
-
-    def observer(t, net):
-        rows.append(_sample(t, net, g, dc.C1))
+    def observer(t, net, b):
+        rows[b].append(_sample(t, net, g, consts[b].C1))
         if extra_observer is not None:
             extra_observer(t, net)
 
-    observer(net0.t, net0)
-    blowup = None
-    try:
-        integrate(net0, p, g, cfg, observer)
-    except BlowUpError as err:
-        blowup = err
+    for b, net in enumerate(nets):
+        observer(net.t, net, b)
+    finals = integrate(nets, [s.parameters for s in specs], g, cfg, observer)
+    steps = step_count(cfg)
+    return [_write_run(spec, dc, rows_b, out if isinstance(out, BlowUpError) else None, steps)
+            for spec, dc, rows_b, out in zip(specs, consts, rows, finals)]
 
+
+def _write_run(spec, dc, rows, blowup, steps):
+    """Write the timeseries CSV and the JSON report of one run from its sample rows."""
+    outdir = Path(spec.output_dir)
+    p = spec.parameters
     ts_path = outdir / ("%s_timeseries.csv" % spec.label)
     _write_csv(ts_path, _header(p.m), rows)
 
@@ -262,6 +283,7 @@ def run_experiment(spec, extra_observer=None):
             "P": p.P, "Pmin": dc.Pmin, "P_above": bool(p.P > dc.Pmin),
             "Q": p.Q, "Qmin": dc.Qmin, "Q_above": bool(p.Q > dc.Qmin),
         },
+        "steps": steps if blowup is None else blowup.step,
         "pairs": {},
         "envelope": None,
         "degs_estimate": None,
@@ -337,40 +359,45 @@ def _run_rate(report):
 
 
 def run_sweep(sweep):
-    """Run the (P, Q) grid with replicate seeds; never abort on cell failures."""
+    """Run the (P, Q) grid with replicate seeds as one batch; never abort on cell failures."""
     base = sweep.base
     outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cells = []
+    cells, specs, runs = [], [], []
     for P in sweep.P_values:
         for Q in sweep.Q_values:
             cell = {"P": P, "Q": Q, "runs": [], "median_rate": None, "verdicts": []}
-            rates = []
+            cells.append(cell)
             for seed in sweep.seeds:
                 label = "P%.17g_Q%.17g_seed%d" % (P, Q, seed)
+                run = {"seed": seed}
+                cell["runs"].append(run)
                 try:
-                    spec = dataclasses.replace(
+                    specs.append(dataclasses.replace(
                         base,
                         parameters=dataclasses.replace(base.parameters, P=P, Q=Q),
                         seed=seed,
                         output_dir=str(outdir / "cells"),
                         label=label,
-                    )
-                    res = run_experiment(spec)
-                    rate = _run_rate(res.report)
-                    cell["runs"].append({"seed": seed, "rate": rate,
-                                         "verdict": res.report["verdict"]})
-                    cell["verdicts"].append(res.report["verdict"])
-                    if rate is not None:
-                        rates.append(rate)
+                    ))
                 except Exception as err:  # noqa: BLE001 - recorded, not raised
-                    cell["runs"].append({"seed": seed, "error": str(err),
-                                         "error_type": type(err).__name__})
-                    log.info("%s: failed with %s: %s", label, type(err).__name__, err)
-                    log.debug("%s: traceback", label, exc_info=True)
-            if rates:
-                cell["median_rate"] = float(np.median(rates))
-            cells.append(cell)
+                    run.update(_failure(label, err))
+                    continue
+                runs.append((cell, run))
+    try:
+        results = _run_batch(specs) if specs else []
+    except Exception as err:  # noqa: BLE001 - recorded, not raised
+        results = [err] * len(specs)
+    for spec, (cell, run), res in zip(specs, runs, results):
+        if isinstance(res, Exception):
+            run.update(_failure(spec.label, res))
+        else:
+            run.update(rate=_run_rate(res.report), verdict=res.report["verdict"])
+            cell["verdicts"].append(res.report["verdict"])
+    for cell in cells:
+        rates = [run["rate"] for run in cell["runs"] if run.get("rate") is not None]
+        if rates:
+            cell["median_rate"] = float(np.median(rates))
 
     dc = compute_constants(base.parameters, base.grid.measure, base.cstar)
     report = {
@@ -384,3 +411,10 @@ def run_sweep(sweep):
     path = outdir / "sweep_report.json"
     write_json(path, report)
     return path, report
+
+
+def _failure(label, err):
+    """The sweep report's fields for a run that raised err, which is logged."""
+    log.info("%s: failed with %s: %s", label, type(err).__name__, err)
+    log.debug("%s: traceback", label, exc_info=err)
+    return {"error": str(err), "error_type": type(err).__name__}

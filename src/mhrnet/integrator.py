@@ -8,6 +8,12 @@ coupling strengths, which the synchronization thresholds routinely demand.
 The tridiagonal operator I - s*L of each grid axis is LU-factored once per
 (cells, s) with LAPACK dgttrf and cached; each solve is then one dgttrs
 back-substitution.
+
+Both steppers also advance a batch: B replicates of one network that share
+every parameter but the coupling strengths P and Q, held as one
+(B, m, 4, *cells) array.  Every operation acts on each replicate alone, in
+the same order, so a replicate's trajectory is bitwise the one it takes by
+itself; the batch only shares the per-call cost of each operation.
 """
 
 import functools
@@ -19,7 +25,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 # the blow-up check's quasi-norm is the energy functional at c1 = 1
 from .grid import energy_functional as quasi_norm
-from .model import NetworkState, full_rhs, reaction_rhs
+from .model import NetworkState, full_rhs, reaction_rhs, real
 
 __all__ = [
     "IntegratorConfig",
@@ -29,6 +35,7 @@ __all__ = [
     "step_imex",
     "diffusion_step_be",
     "integrate",
+    "step_count",
     "QUASI_NORM_CEILING",
 ]
 
@@ -42,12 +49,16 @@ SAFETY = 0.9
 
 
 class BlowUpError(RuntimeError):
-    """The state became non-finite (or unboundedly large) during integration."""
+    """The state became non-finite (or unboundedly large) during integration.
 
-    def __init__(self, t, neuron=None, component=None, detail=""):
+    step is the number of the integration step that blew up, counted from 1.
+    """
+
+    def __init__(self, t, neuron=None, component=None, detail="", step=None):
         self.t = t
         self.neuron = neuron
         self.component = component
+        self.step = step
         msg = "blow-up detected at t=%.6g" % t
         if neuron is not None:
             msg += " (neuron %d, component %s)" % (neuron, component)
@@ -67,10 +78,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError("unknown scheme %r, expected one of %s" % (self.scheme, SCHEMES))
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise ValueError("t_end must be positive and finite")
+        for name in ("dt", "t_end"):
+            val = real(name, getattr(self, name))
+            if not val > 0:
+                raise ValueError("%s must be positive and finite" % name)
+            setattr(self, name, val)
         n = self.observe_every
         if not (math.isfinite(float(n)) and int(n) == n and n >= 1):
             raise ValueError("observe_every must be an integer >= 1")
@@ -85,16 +97,23 @@ def stability_limit(g, p):
     return h_min * h_min / (2.0 * g.dim * max(p.eta1, p.eta2))
 
 
-def step_rk4(net, p, g, dt):
-    """Classical 4-stage Runge-Kutta step on the full right-hand side."""
+def step_rk4(net, p, g, dt, strengths=None):
+    """Classical 4-stage Runge-Kutta step on the full right-hand side.
+
+    net is one NetworkState, stepped to a new NetworkState; or a batch
+    array (B, m, 4, *cells) with the replicates' coupling strengths from
+    replicate_coupling, stepped to a new array.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x = net.x
-    k1 = full_rhs(x, p, g)
-    k2 = full_rhs(x + dt / 2.0 * k1, p, g)
-    k3 = full_rhs(x + dt / 2.0 * k2, p, g)
-    k4 = full_rhs(x + dt * k3, p, g)
-    return NetworkState(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), net.t + dt)
+    one = isinstance(net, NetworkState)
+    x = net.x if one else net
+    k1 = full_rhs(x, p, g, strengths)
+    k2 = full_rhs(x + dt / 2.0 * k1, p, g, strengths)
+    k3 = full_rhs(x + dt / 2.0 * k2, p, g, strengths)
+    k4 = full_rhs(x + dt * k3, p, g, strengths)
+    x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return NetworkState(x, net.t + dt) if one else x
 
 
 @functools.lru_cache(maxsize=16)
@@ -149,68 +168,153 @@ def diffusion_step_be(f, g, eta, dt):
     return f
 
 
-def _exact_coupling(f, strength, dt):
-    """Exact solution of df_i/dt = strength * sum_j (f_j - f_i) over dt, for f[i].
+def replicate_coupling(ps, g, dt, scheme):
+    """Per-replicate coupling of a batch with Parameters ps, for the steppers' last argument.
 
-    The neuron mean is invariant; deviations decay by exp(-m*strength*dt).
-    A zero strength is an exact no-op.
+    For explicit-rk4, the strengths (P, Q); for imex-be, for u and for rho,
+    the factor exp(-m*strength*dt) by which the exact coupling substep
+    damps deviations from the neuron mean, with a mask of the replicates
+    whose strength is not zero.  Each is an array over the replicates,
+    shaped to broadcast over a (B, m, *cells) field.  The factors are taken
+    with math.exp, as for one state, so they are bitwise the same.
     """
-    if strength == 0.0:
+    shape = (len(ps),) + (1,) * (1 + g.dim)
+    out = []
+    for strengths in ([q.P for q in ps], [q.Q for q in ps]):
+        if scheme == "explicit-rk4":
+            out.append(np.reshape(strengths, shape))
+        else:
+            factors = [math.exp(-q.m * s * dt) for q, s in zip(ps, strengths)]
+            out.append((np.reshape(factors, shape), np.array(strengths) != 0.0))
+    return tuple(out)
+
+
+def _exact_coupling(f, decay):
+    """Exact solution of df_i/dt = strength * sum_j (f_j - f_i) over dt, for f[:, i].
+
+    f is one component of a batch, (B, m, *cells), and decay is its
+    (factors, nonzero) pair from replicate_coupling.  The neuron mean is
+    invariant; deviations decay by each replicate's factor.  A zero strength
+    is an exact no-op for its replicate.
+    """
+    factor, on = decay
+    if not on.any():
         return f
-    mean = f.mean(axis=0)
-    return mean + (f - mean) * math.exp(-f.shape[0] * strength * dt)
+    mean = f.mean(axis=1, keepdims=True)
+    out = mean + (f - mean) * factor
+    if not on.all():
+        out[~on] = f[~on]
+    return out
 
 
-def step_imex(net, p, g, dt):
-    """First-order IMEX step: explicit reaction, exact coupling, implicit diffusion."""
+def step_imex(net, p, g, dt, decay=None):
+    """First-order IMEX step: explicit reaction, exact coupling, implicit diffusion.
+
+    net is one NetworkState, stepped to a new NetworkState; or a batch
+    array (B, m, 4, *cells) with decay, the replicates' coupling factors
+    from replicate_coupling, stepped to a new array.
+    """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    # reaction and diffusion go one neuron at a time: the benchmark's layer
-    # tracing counts m reaction and 2m solve calls per 1D step
-    # (bench/test_bench_checks.py); only the coupling needs all m at once
-    x = np.empty_like(net.x)
-    for i in range(net.m):
-        xi = net.x[i:i + 1]
-        x[i:i + 1] = xi + dt * reaction_rhs(xi, p)
-    for k, strength, eta in ((0, p.P, p.eta1), (3, p.Q, p.eta2)):
-        f = _exact_coupling(x[:, k], strength, dt)
-        for i in range(net.m):
-            x[i, k] = diffusion_step_be(f[i], g, eta, dt)
-    return NetworkState(x, net.t + dt)
+    one = isinstance(net, NetworkState)
+    if one:
+        x0, decay = net.x[None], replicate_coupling([p], g, dt, "imex-be")
+    else:
+        x0 = net
+    # reaction and diffusion go one neuron at a time, for all replicates at
+    # once: the benchmark's layer tracing counts m reaction and 2m solve
+    # calls per 1D step (bench/test_bench_checks.py); only the coupling
+    # needs all m at once
+    m = x0.shape[1]
+    x = np.empty_like(x0)
+    for i in range(m):
+        xi = x0[:, i]
+        x[:, i] = xi + dt * reaction_rhs(xi, p)
+    for k, d, eta in ((0, decay[0], p.eta1), (3, decay[1], p.eta2)):
+        f = _exact_coupling(x[:, :, k], d)
+        for i in range(m):
+            x[:, i, k] = diffusion_step_be(f[:, i], g, eta, dt)
+    return NetworkState(x[0], net.t + dt) if one else x
+
+
+def step_count(cfg, t0=0.0):
+    """Number of fixed steps of cfg.dt that take t0 to t >= cfg.t_end (at least 1)."""
+    return max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-12))
 
 
 def integrate(net0, p, g, cfg, observer=None):
     """Advance net0 until t >= t_end with fixed steps of cfg.dt.
 
-    The observer, if given, is called as observer(t, state) every
-    cfg.observe_every steps and at the final step; the state passed in must
-    be treated as read-only.  Identical inputs produce bitwise-identical
-    trajectories.  Blow-up raises BlowUpError: a non-finite value, checked
-    after every step, with the time and the first offending component; a
-    quasi-norm above QUASI_NORM_CEILING, checked at observation boundaries,
-    with the time.
+    net0 and p are one NetworkState and its Parameters, or a batch: lists
+    of B states at one time and their Parameters, which may differ only in
+    P and Q.  A batch advances as one (B, m, 4, *cells) array, and each
+    replicate takes bitwise the trajectory it takes alone.
+
+    The observer, if given, is called every cfg.observe_every steps and at
+    the final step, as observer(t, state) for one state and as
+    observer(t, state, b) for replicate b of a batch; the state passed in
+    must be treated as read-only.  Identical inputs produce
+    bitwise-identical trajectories.
+
+    Blow-up is a non-finite value, checked after every step, located at
+    its first offending neuron and component; or a quasi-norm above
+    QUASI_NORM_CEILING, checked at observation boundaries before the
+    observer.  One state raises BlowUpError.  A batch drops the replicate
+    that blew up, with the BlowUpError its run alone raises, and the others
+    go on; it returns a list with each replicate's final NetworkState or
+    BlowUpError.
     """
+    if isinstance(net0, NetworkState):
+        watch = None if observer is None else lambda t, net, b: observer(t, net)
+        (out,) = integrate([net0], [p], g, cfg, watch)
+        if isinstance(out, BlowUpError):
+            raise out
+        return out
+    p0 = p[0]
     if cfg.scheme == "explicit-rk4" and cfg.enforce_stability:
-        limit = stability_limit(g, p)
+        limit = stability_limit(g, p0)
         if cfg.dt > SAFETY * limit:
             raise ValueError(
                 "dt=%g exceeds safety*stability_limit=%g for explicit-rk4"
                 % (cfg.dt, SAFETY * limit)
             )
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
-    n_steps = max(1, math.ceil((cfg.t_end - net0.t) / cfg.dt - 1e-12))
-    net = net0
+    coupling = replicate_coupling(p, g, cfg.dt, cfg.scheme)
+    t0 = net0[0].t
+    n_steps = step_count(cfg, t0)
+    x = np.stack([net.x for net in net0])
+    live = list(range(len(net0)))    # the replicate in each row of x
+    out = [None] * len(net0)
+    t = t0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            net = step(net, p, g, cfg.dt)
-            net.t = net0.t + k * cfg.dt
-            bad = net.first_nonfinite()
-            if bad is not None:
-                raise BlowUpError(net.t, neuron=bad[0], component=bad[1])
+            x = step(x, p0, g, cfg.dt, coupling)
+            t = t0 + k * cfg.dt
+            dropped = set()
+            if not np.isfinite(x).all():
+                for r, b in enumerate(live):
+                    bad = NetworkState(x[r], t).first_nonfinite()
+                    if bad is not None:
+                        out[b] = BlowUpError(t, neuron=bad[0], component=bad[1], step=k)
+                        dropped.add(r)
             if k % cfg.observe_every == 0 or k == n_steps:
-                qn = quasi_norm(net.x, g)
-                if qn > QUASI_NORM_CEILING:
-                    raise BlowUpError(net.t, detail="quasi-norm %.3g exceeds ceiling" % qn)
-                if observer is not None:
-                    observer(net.t, net)
-    return net
+                for r, b in enumerate(live):
+                    if r in dropped:
+                        continue
+                    qn = quasi_norm(x[r], g)
+                    if qn > QUASI_NORM_CEILING:
+                        out[b] = BlowUpError(t, detail="quasi-norm %.3g exceeds ceiling" % qn,
+                                             step=k)
+                        dropped.add(r)
+                    elif observer is not None:
+                        observer(t, NetworkState(x[r], t), b)
+            if dropped:
+                keep = [r for r in range(len(live)) if r not in dropped]
+                x, live = x[keep], [live[r] for r in keep]
+                if not live:
+                    break
+                coupling = replicate_coupling([p[b] for b in live], g, cfg.dt, cfg.scheme)
+    for r, b in enumerate(live):
+        out[b] = NetworkState(x[r], t)
+    return out
+

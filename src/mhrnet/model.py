@@ -5,8 +5,12 @@ fields on one shared grid: membrane potential u, spiking variable v,
 bursting variable w, and memductance rho.  Only u and rho diffuse and only
 u and rho receive network coupling.  The network state is one array of
 shape (m, 4, *cells) with the components in the order (u, v, w, rho).
+A batch of B replicates, which share every parameter but the coupling
+strengths, is one array of shape (B, m, 4, *cells).
 """
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +24,7 @@ __all__ = [
     "reaction_rhs",
     "coupling_rhs",
     "full_rhs",
+    "real",
 ]
 
 COMPONENTS = ("u", "v", "w", "rho")
@@ -28,6 +33,20 @@ _POSITIVE = (
     "a", "b", "eta1", "eta2", "alpha", "beta",
     "q", "r", "delta", "k1", "k2", "Je",
 )
+
+
+def real(name, value):
+    """value as a finite float; a ValueError naming `name` for anything else.
+
+    Strings and booleans are refused even where float() would take them, so
+    a quoted number in a config is an error that names its key.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,16 +78,14 @@ class Parameters:
     m: int = 2
 
     def __post_init__(self):
-        for name in _POSITIVE:
-            val = getattr(self, name)
-            if not np.isfinite(val) or val <= 0.0:
+        for name in self.field_names():
+            if name == "m":
+                continue
+            val = real("parameter %r" % name, getattr(self, name))
+            object.__setattr__(self, name, val)
+            if name in _POSITIVE and val <= 0.0:
                 raise ValueError("parameter %r must be positive, got %r" % (name, val))
-        for name in ("c", "gamma", "ue"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError("parameter %r must be finite" % name)
-        for name in ("P", "Q"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0.0:
+            if name in ("P", "Q") and val < 0.0:
                 raise ValueError("parameter %r must be nonnegative, got %r" % (name, val))
         if not (np.isfinite(float(self.m)) and int(self.m) == self.m and self.m >= 2):
             raise ValueError("parameter 'm' must be an integer >= 2, got %r" % (self.m,))
@@ -129,26 +146,43 @@ def reaction_rhs(x, p):
     return out
 
 
-def coupling_rhs(x, p):
+def coupling_rhs(x, p, strengths=None):
     """All-to-all linear coupling terms of every neuron: (u-coupling, rho-coupling).
 
-    Each has shape (m, *cells).  u and rho are reduced as one block: the
-    m x m differences of x[:, ::3] are formed once and summed over the
-    leading axis, which still adds one j at a time in index order for each
-    neuron i (the j == i term is identically zero).  That makes the terms
-    bitwise reproducible and the synchronization manifold exactly invariant.
+    x is one (m, 4, *cells) state, coupled with p.P and p.Q; each term then
+    has shape (m, *cells).  With strengths = (P, Q), x is a batch
+    (B, m, 4, *cells) and P, Q hold each replicate's strength, shaped to
+    broadcast over (B, m, *cells); each term then has that shape.
+
+    u and rho are reduced as one block: the m x m differences of the u and
+    rho fields are formed once and summed over the j axis, which adds one j
+    at a time in index order for each neuron i (the j == i term is
+    identically zero).  That makes the terms bitwise reproducible, the same
+    for a replicate as for its state alone, and the synchronization manifold
+    exactly invariant.
     """
-    f = x[:, ::3]
-    c = np.sum(f[:, None] - f[None, :], axis=0, initial=0.0)
-    return p.P * c[:, 0], p.Q * c[:, 1]
+    if strengths is None:
+        cu, cr = coupling_rhs(x[None], p, (p.P, p.Q))
+        return cu[0], cr[0]
+    P, Q = strengths
+    f = x[:, :, ::3]
+    c = np.sum(f[:, :, None] - f[:, None, :], axis=1, initial=0.0)
+    return P * c[:, :, 0], Q * c[:, :, 1]
 
 
-def full_rhs(x, p, g):
-    """Complete tendency of a (m, 4, *cells) state: reaction + coupling + diffusion."""
-    out = reaction_rhs(x, p)
-    cu, cr = coupling_rhs(x, p)
+def full_rhs(x, p, g, strengths=None):
+    """Complete tendency of a state, reaction + coupling + diffusion, same shape.
+
+    x is one (m, 4, *cells) state, or a (B, m, 4, *cells) batch with the
+    replicates' coupling strengths as in coupling_rhs.
+    """
+    if strengths is None:
+        return full_rhs(x[None], p, g, (p.P, p.Q))[0]
+    # the reaction is pointwise: replicates and neurons go as one axis
+    out = reaction_rhs(x.reshape((-1,) + x.shape[2:]), p).reshape(x.shape)
+    cu, cr = coupling_rhs(x, p, strengths)
     # components 0 and 3, (u, rho), are the diffused pair
-    lap = laplacian_neumann(x[:, ::3], g)
-    out[:, 0] = out[:, 0] + cu + p.eta1 * lap[:, 0]
-    out[:, 3] = out[:, 3] + cr + p.eta2 * lap[:, 1]
+    lap = laplacian_neumann(x[:, :, ::3], g)
+    out[:, :, 0] = out[:, :, 0] + cu + p.eta1 * lap[:, :, 0]
+    out[:, :, 3] = out[:, :, 3] + cr + p.eta2 * lap[:, :, 1]
     return out

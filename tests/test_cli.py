@@ -132,6 +132,37 @@ class TestSimulate:
         assert err.count("\n") == 1 and name in err and "integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, override", [
+        ("simulate", "seed=-1"),
+        ("sweep", "sweep.seeds=[1,-1]"),
+    ])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, override):
+        code = main([command, "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err and ">= 0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, override, name", [
+        ("simulate", 'parameters.a="1"', "'a'"),
+        ("simulate", 'parameters.P="2.5"', "'P'"),
+        ("simulate", "parameters.c=true", "'c'"),
+        ("simulate", 'integrator.dt="1e-3"', "dt"),
+        ("simulate", 'integrator.t_end="2"', "t_end"),
+        ("simulate", 'cstar="1"', "cstar"),
+        ("thresholds", 'cstar="1"', "cstar"),
+    ])
+    def test_quoted_number_rejected(self, tmp_path, capsys, command, override, name):
+        args = [command, "-s", override]
+        if command != "thresholds":
+            args += ["--outdir", str(tmp_path / "out")]
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and name in captured.err
+        assert "must be a number" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_outdir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -173,6 +204,7 @@ class TestSimulate:
         report = json.loads((tmp_path / "out" / "run_report.json").read_text())
         assert report["verdict"] == "diverged"
         assert report["blowup"]["t"] == 7.0
+        assert report["steps"] == 7
 
     def test_stability_guard_on_by_default(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

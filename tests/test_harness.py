@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +185,10 @@ class TestRunExperiment:
         data = np.genfromtxt(res.timeseries_path, delimiter=",", names=True)
         assert np.all(data["gap_1_2"] == 0.0)
 
+    def test_steps_recorded(self, tmp_path):
+        report = run_experiment(small_spec(tmp_path)).report
+        assert report["steps"] == 500
+
     def test_initial_row_recorded(self, tmp_path):
         res = run_experiment(small_spec(tmp_path))
         data = np.genfromtxt(res.timeseries_path, delimiter=",", names=True)
@@ -202,6 +208,7 @@ class TestRunExperiment:
         res = run_experiment(spec)
         assert res.report["verdict"] == "diverged"
         assert res.report["blowup"]["t"] > 0.0
+        assert res.report["steps"] == round(res.report["blowup"]["t"] / 5e-3)
         assert res.timeseries_path.exists()
 
 
@@ -220,7 +227,66 @@ class TestRunExperiment:
         assert "note" not in run_experiment(small_spec(tmp_path / "m2")).report
 
 
+def assert_cells_match_solo_runs(tmp_path, base, report):
+    """Every run of a sweep wrote the same bytes as the same spec run alone."""
+    cells_dir = Path(base.output_dir) / "cells"
+    n = 0
+    for cell in report["cells"]:
+        for run in cell["runs"]:
+            label = "P%.17g_Q%.17g_seed%d" % (cell["P"], cell["Q"], run["seed"])
+            spec = dataclasses.replace(
+                base, parameters=dataclasses.replace(base.parameters, P=cell["P"], Q=cell["Q"]),
+                seed=run["seed"], label=label, output_dir=str(tmp_path / "solo"))
+            solo = run_experiment(spec)
+            for path in (solo.timeseries_path, solo.report_path):
+                assert (cells_dir / path.name).read_bytes() == path.read_bytes(), path.name
+            assert run["verdict"] == solo.report["verdict"]
+            n += 1
+    return n
+
+
 class TestRunSweep:
+    @pytest.mark.parametrize("grid, config", [
+        (Grid((32,), (1.0,)), IntegratorConfig(dt=1e-3, t_end=0.3, observe_every=20)),
+        (Grid((8, 6), (1.0, 0.75)), IntegratorConfig(dt=1e-3, t_end=0.1, observe_every=10)),
+        (Grid((16,), (1.0,)),
+         IntegratorConfig(scheme="explicit-rk4", dt=1e-3, t_end=0.2, observe_every=20)),
+    ], ids=["imex-1d", "imex-2d", "explicit-rk4-1d"])
+    def test_cells_byte_identical_to_solo_runs(self, tmp_path, grid, config):
+        # P = 0 leaves u uncoupled, P = 12 is above Pmin = 10.6875, and Q = 0
+        # leaves rho uncoupled: the batch mixes no-op and damping substeps
+        base = small_spec(tmp_path / "sweep", grid=grid, config=config)
+        sweep = SweepSpec(base=base, P_values=(0.0, 12.0), Q_values=(0.0, 2.0), seeds=(1, 2))
+        _, report = run_sweep(sweep)
+        assert sorted(c["P"] > report["Pmin"] for c in report["cells"]) == [False] * 2 + [True] * 2
+        assert assert_cells_match_solo_runs(tmp_path, base, report) == 8
+
+    @pytest.mark.parametrize("observe_every", [5, 10])
+    def test_diverging_runs_leave_the_batch(self, tmp_path, observe_every):
+        # dt = 0.55 with u drawn from [-5, 5]: most runs overflow within ten
+        # steps, some only when uncoupled.  Observed every 10 steps they turn
+        # non-finite at steps 7 and 8; every 5 steps, the quasi-norm ceiling
+        # stops them at step 5.  The rest synchronize over all 55 steps.
+        base = small_spec(
+            tmp_path / "sweep", parameters=Parameters(), grid=Grid((16,), (1.0,)),
+            config=IntegratorConfig(dt=0.55, t_end=30.0, observe_every=observe_every),
+            initial=InitialCondition(amplitude={"u": (-5.0, 5.0)}, smoothing_passes=2))
+        sweep = SweepSpec(base=base, P_values=(0.0, 12.0), Q_values=(1.0,), seeds=(1, 4, 5, 8))
+        _, report = run_sweep(sweep)
+        cells_dir = tmp_path / "sweep" / "cells"
+        steps = {}
+        for cell in report["cells"]:
+            for run in cell["runs"]:
+                assert "error" not in run
+                label = "P%.17g_Q1_seed%d" % (cell["P"], run["seed"])
+                cell_report = json.loads((cells_dir / (label + "_report.json")).read_text())
+                steps[label] = (run["verdict"], cell_report["steps"])
+        finished = {s for v, s in steps.values() if v != "diverged"}
+        diverged = {s for v, s in steps.values() if v == "diverged"}
+        assert finished == {55}
+        assert diverged == ({5} if observe_every == 5 else {7, 8})
+        assert assert_cells_match_solo_runs(tmp_path, base, report) == 8
+
     def test_single_cell_matches_simulate(self, tmp_path):
         base = small_spec(tmp_path / "sweep")
         sweep = SweepSpec(base=base, P_values=(2.0,), Q_values=(2.0,), seeds=(1,))
@@ -256,6 +322,21 @@ class TestRunSweep:
         assert len(runs) == 2
         assert all("error" in r for r in runs)
         assert [r["error_type"] for r in runs] == ["ValueError", "ValueError"]
+
+    def test_invalid_cell_recorded_others_run(self, tmp_path):
+        # P = -1 fails its spec check; the batch runs the valid cells
+        base = small_spec(tmp_path, config=IntegratorConfig(dt=1e-3, t_end=0.01))
+        sweep = SweepSpec(base=base, P_values=(-1.0, 2.0), Q_values=(1.0,), seeds=(1, 2))
+        _, report = run_sweep(sweep)
+        bad, good = report["cells"]
+        assert [r["error_type"] for r in bad["runs"]] == ["ValueError", "ValueError"]
+        assert [r["seed"] for r in good["runs"]] == [1, 2]
+        assert all("error" not in r and r["verdict"] for r in good["runs"])
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="seed"):
+            SweepSpec(base=small_spec(tmp_path), P_values=(1.0,), Q_values=(1.0,),
+                      seeds=(1, -2))
 
     def test_empty_axis_rejected(self, tmp_path):
         base = small_spec(tmp_path)

@@ -342,3 +342,34 @@ class TestIntegrate:
         assert (info.value.neuron, info.value.component) == first.first_nonfinite()
         assert str(info.value) == "blow-up detected at t=%.6g (neuron %d, component %s)" % (
             first.t, *first.first_nonfinite())
+
+    def test_batch_matches_solo_runs(self):
+        # replicates with zero and nonzero strengths: two turn non-finite,
+        # at steps 7 and 8, between observations, and two finish.  Each
+        # replicate's observations, final state or BlowUpError are those of
+        # its run alone
+        g = unit_grid(16)
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.55, t_end=11.0, observe_every=10)
+        nets, ps = [], []
+        for scale, P, Q in ((5.0, 0.0, 1.0), (2.0, 2.0, 0.0), (3.0, 1.0, 1.0), (0.1, 0.0, 0.0)):
+            net = const_net(g, 2)
+            net.x[:, 0] = scale * np.linspace(-1.0, 1.0, 16)
+            nets.append(net)
+            ps.append(Parameters(P=P, Q=Q))
+        seen = [[] for _ in nets]
+        out = integrate([n.copy() for n in nets], ps, g, cfg,
+                        lambda t, s, b: seen[b].append((t, s.x.copy())))
+        for b, (net, p) in enumerate(zip(nets, ps)):
+            alone = []
+            try:
+                final = integrate(net, p, g, cfg, lambda t, s: alone.append((t, s.x.copy())))
+            except BlowUpError as err:
+                assert isinstance(out[b], BlowUpError)
+                assert (str(out[b]), out[b].step) == (str(err), err.step)
+                assert out[b].step == {0: 7, 2: 8}[b]
+            else:
+                assert out[b].t == final.t and np.array_equal(out[b].x, final.x)
+            assert len(seen[b]) == len(alone)
+            for (t, x), (t_alone, x_alone) in zip(seen[b], alone):
+                assert t == t_alone and np.array_equal(x, x_alone)
+        assert [isinstance(o, BlowUpError) for o in out] == [True, False, True, False]
