@@ -254,7 +254,9 @@ def _run_batch(specs, extra_observer=None):
     rows = [[] for _ in specs]
 
     def observer(t, net, b):
-        rows[b].append(_sample(t, net, g, consts[b].C1))
+        # the batch keeps every run's rows until it ends: one array per row
+        # holds them in a quarter of the memory of a list of numpy scalars
+        rows[b].append(np.array(_sample(t, net, g, consts[b].C1)))
         if extra_observer is not None:
             extra_observer(t, net)
 

@@ -172,11 +172,12 @@ def replicate_coupling(ps, g, dt, scheme):
     """Per-replicate coupling of a batch with Parameters ps, for the steppers' last argument.
 
     For explicit-rk4, the strengths (P, Q); for imex-be, for u and for rho,
-    the factor exp(-m*strength*dt) by which the exact coupling substep
-    damps deviations from the neuron mean, with a mask of the replicates
-    whose strength is not zero.  Each is an array over the replicates,
-    shaped to broadcast over a (B, m, *cells) field.  The factors are taken
-    with math.exp, as for one state, so they are bitwise the same.
+    the factors exp(-m*strength*dt) by which the exact coupling substep
+    damps deviations from the neuron mean, with the list of replicates
+    whose strength is zero.  Strengths and factors are arrays over the
+    replicates, shaped to broadcast over a (B, m, *cells) field.  The
+    factors are taken with math.exp, as for one state, so they are bitwise
+    the same.
     """
     shape = (len(ps),) + (1,) * (1 + g.dim)
     out = []
@@ -185,7 +186,8 @@ def replicate_coupling(ps, g, dt, scheme):
             out.append(np.reshape(strengths, shape))
         else:
             factors = [math.exp(-q.m * s * dt) for q, s in zip(ps, strengths)]
-            out.append((np.reshape(factors, shape), np.array(strengths) != 0.0))
+            off = [b for b, s in enumerate(strengths) if s == 0.0]
+            out.append((np.reshape(factors, shape), off))
     return tuple(out)
 
 
@@ -193,17 +195,17 @@ def _exact_coupling(f, decay):
     """Exact solution of df_i/dt = strength * sum_j (f_j - f_i) over dt, for f[:, i].
 
     f is one component of a batch, (B, m, *cells), and decay is its
-    (factors, nonzero) pair from replicate_coupling.  The neuron mean is
-    invariant; deviations decay by each replicate's factor.  A zero strength
-    is an exact no-op for its replicate.
+    (factors, zero-strength replicates) pair from replicate_coupling.  The
+    neuron mean is invariant; deviations decay by each replicate's factor.
+    A zero strength is an exact no-op for its replicate.
     """
-    factor, on = decay
-    if not on.any():
+    factor, off = decay
+    if len(off) == len(f):
         return f
     mean = f.mean(axis=1, keepdims=True)
     out = mean + (f - mean) * factor
-    if not on.all():
-        out[~on] = f[~on]
+    if off:
+        out[off] = f[off]
     return out
 
 
