@@ -254,8 +254,8 @@ def _run_batch(specs, extra_observer=None):
     rows = [[] for _ in specs]
 
     def observer(t, net, b):
-        # the batch keeps every run's rows until it ends: one array per row
-        # holds them in a quarter of the memory of a list of numpy scalars
+        # the batch keeps every run's rows until it ends; at m = 16 one
+        # float array per row takes a quarter of the memory of the list
         rows[b].append(np.array(_sample(t, net, g, consts[b].C1)))
         if extra_observer is not None:
             extra_observer(t, net)
