@@ -115,20 +115,23 @@ def compute_constants(p, omega_measure, cstar=1.0):
     )
 
 
-def pairwise_gap(x, g, i, j):
-    """Squared E-norm gap ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
+def pairwise_gap(x, g):
+    """Squared E-norm gaps ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
 
-    i and j index neurons of the (m, 4, *cells) state x.  The four integrals
-    are summed with math.fsum, as in grid.energy_functional.
+    One gap for every pair i < j of neurons of the (m, 4, *cells) state x,
+    in the order (0, 1), (0, 2), ..., (1, 2), ...  Neuron i is subtracted
+    from all later neurons at once; each pair's four integrals are summed
+    with math.fsum, as in grid.energy_functional.
     """
-    if i == j:
-        raise ValueError("pairwise gap needs two distinct neurons")
-    if not (0 <= i < len(x) and 0 <= j < len(x)):
-        raise IndexError("neuron index out of range")
     x = _check_field(x, g)
-    d = x[i] - x[j]
-    d *= d
-    return math.fsum(_integral(d, g).tolist())
+    if len(x) < 2:
+        raise ValueError("pairwise gaps need at least two neurons")
+    gaps = []
+    for i in range(len(x) - 1):
+        d = x[i] - x[i + 1:]
+        d *= d
+        gaps += [math.fsum(s) for s in _integral(d, g).tolist()]
+    return gaps
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,11 @@ class SweepSpec:
             if not vals:
                 raise ValueError("%s must not be empty" % name)
             object.__setattr__(self, name, vals)
+        # every strength must be a number before it names a cell; a negative
+        # one is left to fail as its cell's run
+        for key, vals in (("P", self.P_values), ("Q", self.Q_values)):
+            for val in vals:
+                real("sweep." + key, val)
         # each seed must pass ExperimentSpec's check before any run starts
         for seed in self.seeds:
             dataclasses.replace(self.base, seed=seed)
@@ -197,30 +202,33 @@ def _header(m):
 def _sample(t, net, g, c1):
     """One row in the layout of _header."""
     row = [t]
-    # one norm call per field and one gap call per pair, the counts that the
-    # benchmark's layer tracing checks
+    # one norm call per field, the count that the benchmark's layer tracing
+    # checks, and one call for the gaps of all pairs
     for u, v, w, rho in net.x:
         row += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
     row.append(energy_functional(net.x, g, c1))
-    gaps = [pairwise_gap(net.x, g, i, j) for i, j in _pairs(net.m)]
+    gaps = pairwise_gap(net.x, g)
     if net.m <= MAX_PAIR_COLUMNS_M:
         return row + gaps
     return row + [max(gaps), sum(gaps) / len(gaps)]
 
 
-def _write_csv(path, header, rows):
-    """header and rows as comma-separated lines, each value in %.17g."""
+def _write_csv(path, header, data):
+    """header, then each row of the 2-d array data, as comma-separated %.17g values.
+
+    All rows go through one format string, from Python floats, which
+    format to the same bytes as numpy scalars but faster.
+    """
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([line % tuple(row) for row in rows]))
+        fh.write((line * len(data)) % tuple(data.ravel().tolist()))
 
 
 def write_json(path, obj):
     """Write obj as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _quasinorm_series(norms):
@@ -273,9 +281,8 @@ def _write_run(spec, dc, rows, blowup, steps):
     outdir = Path(spec.output_dir)
     p = spec.parameters
     ts_path = outdir / ("%s_timeseries.csv" % spec.label)
-    _write_csv(ts_path, _header(p.m), rows)
-
     data = np.array(rows)
+    _write_csv(ts_path, _header(p.m), data)
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,

@@ -67,8 +67,7 @@ def test_criterion_2_manifold_invariance():
     worst = [0.0]
 
     def observer(t, state):
-        worst[0] = max([worst[0]] + [pairwise_gap(state.x, g, i, j)
-                                     for i in range(3) for j in range(i + 1, 3)])
+        worst[0] = max(worst[0], max(pairwise_gap(state.x, g)))
 
     integrate(net, p, g, cfg, observer)
     assert worst[0] <= 1e-12
@@ -146,7 +145,7 @@ def test_criterion_4_uncoupled_contrast():
         min_gap = [np.inf]
 
         def observer(t, state):
-            min_gap[0] = min(min_gap[0], pairwise_gap(state.x, g, 0, 1))
+            min_gap[0] = min(min_gap[0], pairwise_gap(state.x, g)[0])
 
         integrate(net, p, g, cfg, observer)
         if min_gap[0] > 1e-2:

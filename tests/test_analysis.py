@@ -13,6 +13,7 @@ from mhrnet.analysis import (
     pairwise_gap,
 )
 from mhrnet.grid import Grid, InvalidFieldError
+from mhrnet.harness import MAX_PAIR_COLUMNS_M, _header, _pairs
 from mhrnet.model import Parameters
 
 
@@ -96,54 +97,65 @@ def make_state(g, values):
                            values.shape + g.shape).copy()
 
 
+def gap_of(gaps, m, i, j):
+    """The gap of neurons i < j in the list pairwise_gap returns for m neurons."""
+    return gaps[_pairs(m).index((i, j))]
+
+
 class TestPairwiseGap:
     def test_constant_offset_oracle(self):
         # u differs by 2, rho by 1 on a unit domain: gap = 4 + 1 = 5
         g = Grid((32,), (1.0,))
         x = make_state(g, [(0, 0, 0, 0), (2, 0, 0, 1)])
-        assert pairwise_gap(x, g, 0, 1) == pytest.approx(5.0)
+        assert pairwise_gap(x, g) == [pytest.approx(5.0)]
 
     def test_symmetry_and_zero(self):
         g = Grid((32,), (1.0,))
         x = make_state(g, [(0.3, 1, -1, 0.5), (0.1, 0, 2, 0.5), (0.3, 1, -1, 0.5)])
-        assert pairwise_gap(x, g, 0, 1) == pytest.approx(pairwise_gap(x, g, 1, 0))
-        assert pairwise_gap(x[[1, 0, 2]], g, 0, 1) == pytest.approx(pairwise_gap(x, g, 0, 1))
-        assert pairwise_gap(x, g, 0, 2) == 0.0
+        gaps = pairwise_gap(x, g)
+        assert len(gaps) == 3 and gaps[0] > 0.0
+        # swapping neurons 0 and 1 keeps their gap
+        assert pairwise_gap(x[[1, 0, 2]], g)[0] == gaps[0]
+        assert gap_of(gaps, 3, 0, 2) == 0.0
 
-    def test_bad_indices(self):
+    def test_fewer_than_two_neurons_rejected(self):
         g = Grid((32,), (1.0,))
-        x = make_state(g, [(0, 0, 0, 0), (1, 0, 0, 0)])
-        with pytest.raises(ValueError):
-            pairwise_gap(x, g, 1, 1)
-        with pytest.raises(IndexError):
-            pairwise_gap(x, g, 0, 2)
-        with pytest.raises(IndexError):
-            pairwise_gap(x, g, -1, 0)
+        for values in ([(0, 0, 0, 0)], np.zeros((0, 4))):
+            with pytest.raises(ValueError, match="two neurons"):
+                pairwise_gap(make_state(g, values), g)
 
     def test_per_pair_formula(self):
         g = Grid((8, 6), (1.0, 2.0))
         x = np.random.default_rng(3).normal(size=(5, 4) + g.shape)
+        gaps = pairwise_gap(x, g)
         for i in range(5):
             for j in range(i + 1, 5):
                 want = math.fsum(np.sum(d * d) * g.cell_volume for d in x[i] - x[j])
-                assert pairwise_gap(x, g, i, j) == want
+                assert gap_of(gaps, 5, i, j) == want
 
     def test_grid_mismatch_rejected(self):
         g = Grid((32,), (1.0,))
         x = make_state(Grid((16,), (1.0,)), [(0, 0, 0, 0), (1, 0, 0, 0)])
         with pytest.raises(InvalidFieldError):
-            pairwise_gap(x, g, 0, 1)
+            pairwise_gap(x, g)
         with pytest.raises(InvalidFieldError):
-            pairwise_gap(np.zeros((2, 4, 8, 4)), Grid((8, 6), (1.0, 1.0)), 0, 1)
+            pairwise_gap(np.zeros((2, 4, 8, 4)), Grid((8, 6), (1.0, 1.0)))
 
-    @pytest.mark.parametrize("cells", [(64,), (8, 6)])
+    @pytest.mark.parametrize("cells", [(64,), (8, 6), (2,), (2, 2), (2, 5)])
     def test_bitwise_equals_sum_formula(self, cells):
+        # every pair is reduced as it would be alone, and listed in the
+        # order of the gap columns of a sample row
         g = Grid(cells, (1.5,) * len(cells))
-        x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, 4) + cells)
-        for i, j in ((0, 1), (1, 4), (3, 2)):
-            d = x[i] - x[j]
-            want = math.fsum(np.sum((d * d).reshape(4, -1), axis=-1) * g.cell_volume)
-            assert pairwise_gap(x, g, i, j) == want
+        for m in (2, 3, 17):
+            x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(m, 4) + cells)
+            gaps = pairwise_gap(x, g)
+            assert len(gaps) == m * (m - 1) // 2
+            if m <= MAX_PAIR_COLUMNS_M:
+                columns = [c for c in _header(m) if c.startswith("gap_")]
+                assert columns == ["gap_%d_%d" % (i + 1, j + 1) for i, j in _pairs(m)]
+            for (i, j), gap in zip(_pairs(m), gaps):
+                d = x[i] - x[j]
+                assert gap == math.fsum(np.sum((d * d).reshape(4, -1), axis=-1) * g.cell_volume)
 
 
 class TestFitDecayRate:

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhrnet.analysis import compute_constants
+from mhrnet import harness
+from mhrnet.analysis import compute_constants, pairwise_gap
 from mhrnet.grid import Grid, seminorm_h1
 from mhrnet.harness import (
     ExperimentSpec,
@@ -16,6 +17,7 @@ from mhrnet.harness import (
     run_sweep,
     SCHEMA_VERSION,
     _quasinorm_series,
+    _write_csv,
 )
 from mhrnet.integrator import IntegratorConfig
 from mhrnet.model import Parameters
@@ -142,6 +144,19 @@ def test_quasinorm_series_exactly_permutation_invariant(m):
         assert np.array_equal(_quasinorm_series(norms[:, perm]), _quasinorm_series(norms))
 
 
+def test_write_csv_formats_each_value_in_17g(tmp_path):
+    # the values numpy and Python format differently if any do: signed
+    # zero, non-finite, subnormal and near-underflow values
+    data = np.array([[0.0, -0.0, np.nan, np.inf],
+                     [-np.inf, 5e-324, 1e-300, 1.0 / 3.0],
+                     [-2.5e-310, -1e300, 1.0, 2.0 ** 60]])
+    header = ["t", "a", "b", "c"]
+    _write_csv(tmp_path / "rows.csv", header, data)
+    want = "t,a,b,c\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in data)
+    assert (tmp_path / "rows.csv").read_bytes() == want.encode()
+    assert want.splitlines()[1] == "0,-0,nan,inf"
+
+
 class TestRunExperiment:
     def test_outputs_and_schema(self, tmp_path):
         res = run_experiment(small_spec(tmp_path))
@@ -188,6 +203,19 @@ class TestRunExperiment:
     def test_steps_recorded(self, tmp_path):
         report = run_experiment(small_spec(tmp_path)).report
         assert report["steps"] == 500
+
+    def test_one_gap_call_per_sample(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(x, g):
+            calls.append(len(x))
+            return pairwise_gap(x, g)
+
+        monkeypatch.setattr(harness, "pairwise_gap", counted)
+        res = run_experiment(small_spec(tmp_path, parameters=Parameters(m=5)))
+        samples = len(res.timeseries_path.read_text().splitlines()) - 1
+        assert samples == 11
+        assert calls == [5] * samples
 
     def test_initial_row_recorded(self, tmp_path):
         res = run_experiment(small_spec(tmp_path))
