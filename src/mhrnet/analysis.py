@@ -116,12 +116,11 @@ def compute_constants(p, omega_measure, cstar=1.0):
 
 
 def pairwise_gap(x, g):
-    """Squared E-norm gaps ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 + ||rho_i-rho_j||^2.
+    """Squared E-norm gaps ||u_i-u_j||^2 + ... + ||rho_i-rho_j||^2 of all pairs i < j.
 
-    One gap for every pair i < j of neurons of the (m, 4, *cells) state x,
-    in the order (0, 1), (0, 2), ..., (1, 2), ...  Neuron i is subtracted
-    from all later neurons at once; each pair's four integrals are summed
-    with math.fsum, as in grid.energy_functional.
+    x is an (m, 4, *cells) state; the gaps come in the order (0, 1), (0, 2), ...,
+    (1, 2), ...  Neuron i is subtracted from all later neurons at once, and each
+    pair's four integrals are summed with math.fsum, as in grid.energy_functional.
     """
     x = _check_field(x, g)
     if len(x) < 2:

@@ -132,8 +132,7 @@ class SweepSpec:
             if not vals:
                 raise ValueError("%s must not be empty" % name)
             object.__setattr__(self, name, vals)
-        # every strength must be a number before it names a cell; a negative
-        # one is left to fail as its cell's run
+        # a strength must be a number to label its cell; a negative one fails as its run
         for key, vals in (("P", self.P_values), ("Q", self.Q_values)):
             for val in vals:
                 real("sweep." + key, val)
@@ -214,11 +213,7 @@ def _sample(t, net, g, c1):
 
 
 def _write_csv(path, header, data):
-    """header, then each row of the 2-d array data, as comma-separated %.17g values.
-
-    All rows go through one format string, from Python floats, which
-    format to the same bytes as numpy scalars but faster.
-    """
+    """header, then the rows of the 2-d array data, as comma-separated %.17g values."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

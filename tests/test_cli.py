@@ -163,19 +163,6 @@ class TestSimulate:
         assert "must be a number" in captured.err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["P", "Q"])
-    @pytest.mark.parametrize("value, problem", [
-        ('"a"', "must be a number"),
-        ("true", "must be a number"),
-        (".inf", "must be finite"),
-    ])
-    def test_non_numeric_sweep_value_rejected(self, tmp_path, capsys, key, value, problem):
-        override = "sweep.%s=[1.0, %s]" % (key, value)
-        assert main(["sweep", "-s", override, "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "sweep.%s" % key in err and problem in err
-        assert not (tmp_path / "out").exists()
-
     def test_unwritable_outdir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -322,6 +309,19 @@ class TestSweep:
             assert code == EXIT_OK
             (run,) = json.loads((out / "sweep_report.json").read_text())["cells"][0]["runs"]
             assert outcome.items() <= run.items()
+
+    @pytest.mark.parametrize("key", ["P", "Q"])
+    @pytest.mark.parametrize("value, problem", [
+        ('"a"', "must be a number"),
+        ("true", "must be a number"),
+        (".inf", "must be finite"),
+    ])
+    def test_non_numeric_sweep_value_rejected(self, tmp_path, capsys, key, value, problem):
+        override = "sweep.%s=[1.0, %s]" % (key, value)
+        assert main(["sweep", "-s", override, "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sweep.%s" % key in err and problem in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         cfg = load_config(None)

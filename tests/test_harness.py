@@ -145,8 +145,8 @@ def test_quasinorm_series_exactly_permutation_invariant(m):
 
 
 def test_write_csv_formats_each_value_in_17g(tmp_path):
-    # the values numpy and Python format differently if any do: signed
-    # zero, non-finite, subnormal and near-underflow values
+    # signed zero, non-finite, subnormal and near-underflow values, where a
+    # difference between formatting numpy scalars and Python floats would show
     data = np.array([[0.0, -0.0, np.nan, np.inf],
                      [-np.inf, 5e-324, 1e-300, 1.0 / 3.0],
                      [-2.5e-310, -1e300, 1.0, 2.0 ** 60]])
