@@ -1,9 +1,8 @@
 """Command-line entry point: thresholds, simulate, sweep, estimate-cstar.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical divergence.
-Progress logs go to stderr: warnings only by default, each finished run,
-skipped rate fit and failed sweep cell at -v, and fitted rates, written
-files and tracebacks of failed cells at -vv.
+Progress logs go to stderr: warnings only by default, each finished run
+and skipped rate fit at -v, and fitted rates and written files at -vv.
 """
 
 import argparse

@@ -25,8 +25,8 @@ from .analysis import (
     pairwise_gap,
 )
 from .grid import Grid, energy_functional, norm_l2, norm_l4, smooth_field
-from .integrator import BlowUpError, IntegratorConfig, integrate, step_count
-from .model import COMPONENTS, NetworkState, Parameters, real
+from .integrator import BlowUpError, IntegratorConfig, check_stable, integrate, step_count
+from .model import COMPONENTS, NetworkState, Parameters, integer, real
 
 __all__ = [
     "InitialCondition",
@@ -64,18 +64,21 @@ class InitialCondition:
     def __post_init__(self):
         if self.mode not in IC_MODES:
             raise ValueError("unknown initial-condition mode %r" % self.mode)
+        if not isinstance(self.amplitude, dict):
+            raise ValueError("amplitude must be a mapping, got %r" % (self.amplitude,))
         amp = {}
         for comp in COMPONENTS:
-            lo, hi = self.amplitude.get(comp, (-1.0, 1.0))
-            lo, hi = float(lo), float(hi)
-            if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-                raise ValueError("bad amplitude box for %r: (%r, %r)" % (comp, lo, hi))
+            name = "amplitude box for %r" % comp
+            box = self.amplitude.get(comp, (-1.0, 1.0))
+            if not isinstance(box, (list, tuple)) or len(box) != 2:
+                raise ValueError("%s must be a pair (lo, hi), got %r" % (name, box))
+            lo, hi = real(name, box[0]), real(name, box[1])
+            if hi < lo:
+                raise ValueError("bad %s: (%r, %r)" % (name, lo, hi))
             amp[comp] = (lo, hi)
         object.__setattr__(self, "amplitude", amp)
-        n = self.smoothing_passes
-        if not (math.isfinite(float(n)) and int(n) == n and n >= 0):
-            raise ValueError("smoothing_passes must be an integer >= 0")
-        object.__setattr__(self, "smoothing_passes", int(n))
+        object.__setattr__(self, "smoothing_passes",
+                           integer("smoothing_passes", self.smoothing_passes, 0))
         if self.mode == "from-file" and not self.path:
             raise ValueError("mode 'from-file' needs a path")
 
@@ -96,10 +99,8 @@ class ExperimentSpec:
         if not cstar > 0:
             raise ValueError("cstar must be positive and finite")
         object.__setattr__(self, "cstar", cstar)
-        if not (math.isfinite(float(self.seed)) and int(self.seed) == self.seed
-                and self.seed >= 0):
-            raise ValueError("seed must be an integer >= 0, got %r" % (self.seed,))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
+        check_stable(self.config, self.parameters, self.grid)
 
     def echo(self):
         """Self-contained description embedded in every report."""
@@ -121,10 +122,17 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The (P, Q, seed) runs over base; runs holds their ExperimentSpecs.
+
+    The runs go P outermost and seed innermost, as the report's cells, and
+    each is checked as a run alone is, before any run starts.
+    """
+
     base: ExperimentSpec
     P_values: tuple
     Q_values: tuple
     seeds: tuple
+    runs: tuple = field(init=False)
 
     def __post_init__(self):
         for name in ("P_values", "Q_values", "seeds"):
@@ -132,13 +140,18 @@ class SweepSpec:
             if not vals:
                 raise ValueError("%s must not be empty" % name)
             object.__setattr__(self, name, vals)
-        # a strength must be a number to label its cell; a negative one fails as its run
+        # Parameters checks each strength again below; this message names the sweep key
         for key, vals in (("P", self.P_values), ("Q", self.Q_values)):
             for val in vals:
                 real("sweep." + key, val)
-        # each seed must pass ExperimentSpec's check before any run starts
-        for seed in self.seeds:
-            dataclasses.replace(self.base, seed=seed)
+        base = self.base
+        # each seed is checked before "%d" formats it into a label
+        seeds = [dataclasses.replace(base, seed=seed).seed for seed in self.seeds]
+        object.__setattr__(self, "runs", tuple(
+            dataclasses.replace(base, parameters=dataclasses.replace(base.parameters, P=P, Q=Q),
+                                seed=seed, output_dir=str(Path(base.output_dir) / "cells"),
+                                label="P%.17g_Q%.17g_seed%d" % (P, Q, seed))
+            for P in self.P_values for Q in self.Q_values for seed in seeds))
 
 
 @dataclass
@@ -160,7 +173,11 @@ def generate_initial(spec, seed):
     p, g, ic = spec.parameters, spec.grid, spec.initial
     shape = (p.m, len(COMPONENTS)) + g.shape
     if ic.mode == "from-file":
-        x = np.load(ic.path)["state"]
+        data = np.load(ic.path)
+        # an npz archive lists its arrays in .files; a .npy file loads as one array
+        if "state" not in getattr(data, "files", ()):
+            raise ValueError("initial.path %s is not an npz with an array 'state'" % ic.path)
+        x = data["state"]
         if x.shape != shape:
             raise ValueError("state array shape %s does not match (m, 4, cells)" % (x.shape,))
         if x.dtype.kind not in "iuf":
@@ -363,45 +380,21 @@ def _run_rate(report):
 
 
 def run_sweep(sweep):
-    """Run the (P, Q) grid with replicate seeds as one batch; never abort on cell failures."""
+    """Run every run of sweep as one batch; write its runs' files and the sweep report."""
     base = sweep.base
-    outdir = Path(base.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    cells, specs, runs = [], [], []
+    results = iter(_run_batch(sweep.runs))
+    cells = []
     for P in sweep.P_values:
         for Q in sweep.Q_values:
-            cell = {"P": P, "Q": Q, "runs": [], "median_rate": None, "verdicts": []}
-            cells.append(cell)
+            runs = []
             for seed in sweep.seeds:
-                label = "P%.17g_Q%.17g_seed%d" % (P, Q, seed)
-                run = {"seed": seed}
-                cell["runs"].append(run)
-                try:
-                    specs.append(dataclasses.replace(
-                        base,
-                        parameters=dataclasses.replace(base.parameters, P=P, Q=Q),
-                        seed=seed,
-                        output_dir=str(outdir / "cells"),
-                        label=label,
-                    ))
-                except Exception as err:  # noqa: BLE001 - recorded, not raised
-                    run.update(_failure(label, err))
-                    continue
-                runs.append((cell, run))
-    try:
-        results = _run_batch(specs) if specs else []
-    except Exception as err:  # noqa: BLE001 - recorded, not raised
-        results = [err] * len(specs)
-    for spec, (cell, run), res in zip(specs, runs, results):
-        if isinstance(res, Exception):
-            run.update(_failure(spec.label, res))
-        else:
-            run.update(rate=_run_rate(res.report), verdict=res.report["verdict"])
-            cell["verdicts"].append(res.report["verdict"])
-    for cell in cells:
-        rates = [run["rate"] for run in cell["runs"] if run.get("rate") is not None]
-        if rates:
-            cell["median_rate"] = float(np.median(rates))
+                report = next(results).report
+                runs.append({"seed": seed, "rate": _run_rate(report),
+                             "verdict": report["verdict"]})
+            rates = [run["rate"] for run in runs if run["rate"] is not None]
+            cells.append({"P": P, "Q": Q, "runs": runs,
+                          "median_rate": float(np.median(rates)) if rates else None,
+                          "verdicts": [run["verdict"] for run in runs]})
 
     dc = compute_constants(base.parameters, base.grid.measure, base.cstar)
     report = {
@@ -412,13 +405,6 @@ def run_sweep(sweep):
         "Qmin": dc.Qmin,
         "cells": cells,
     }
-    path = outdir / "sweep_report.json"
+    path = Path(base.output_dir) / "sweep_report.json"
     write_json(path, report)
     return path, report
-
-
-def _failure(label, err):
-    """The sweep report's fields for a run that raised err, which is logged."""
-    log.info("%s: failed with %s: %s", label, type(err).__name__, err)
-    log.debug("%s: traceback", label, exc_info=err)
-    return {"error": str(err), "error_type": type(err).__name__}

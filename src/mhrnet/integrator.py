@@ -25,12 +25,13 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 # the blow-up check's quasi-norm is the energy functional at c1 = 1
 from .grid import energy_functional as quasi_norm
-from .model import NetworkState, full_rhs, reaction_rhs, real
+from .model import NetworkState, full_rhs, integer, reaction_rhs, real
 
 __all__ = [
     "IntegratorConfig",
     "BlowUpError",
     "stability_limit",
+    "check_stable",
     "step_rk4",
     "step_imex",
     "diffusion_step_be",
@@ -83,10 +84,7 @@ class IntegratorConfig:
             if not val > 0:
                 raise ValueError("%s must be positive and finite" % name)
             setattr(self, name, val)
-        n = self.observe_every
-        if not (math.isfinite(float(n)) and int(n) == n and n >= 1):
-            raise ValueError("observe_every must be an integer >= 1")
-        self.observe_every = int(n)
+        self.observe_every = integer("observe_every", self.observe_every, 1)
         if not isinstance(self.enforce_stability, bool):
             raise ValueError("enforce_stability must be true or false")
 
@@ -95,6 +93,14 @@ def stability_limit(g, p):
     """Explicit-diffusion step bound h_min^2 / (2 * dim * max(eta1, eta2))."""
     h_min = min(g.spacing)
     return h_min * h_min / (2.0 * g.dim * max(p.eta1, p.eta2))
+
+
+def check_stable(cfg, p, g):
+    """ValueError if cfg is explicit-rk4, guarded, with dt above SAFETY * stability_limit."""
+    limit = SAFETY * stability_limit(g, p)
+    if cfg.scheme == "explicit-rk4" and cfg.enforce_stability and cfg.dt > limit:
+        raise ValueError("dt=%g exceeds safety*stability_limit=%g for explicit-rk4"
+                         % (cfg.dt, limit))
 
 
 def step_rk4(net, p, g, dt, strengths=None):
@@ -273,13 +279,7 @@ def integrate(net0, p, g, cfg, observer=None):
             raise out
         return out
     p0 = p[0]
-    if cfg.scheme == "explicit-rk4" and cfg.enforce_stability:
-        limit = stability_limit(g, p0)
-        if cfg.dt > SAFETY * limit:
-            raise ValueError(
-                "dt=%g exceeds safety*stability_limit=%g for explicit-rk4"
-                % (cfg.dt, SAFETY * limit)
-            )
+    check_stable(cfg, p0, g)
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
     coupling = replicate_coupling(p, g, cfg.dt, cfg.scheme)
     t0 = net0[0].t

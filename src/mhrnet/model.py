@@ -25,6 +25,7 @@ __all__ = [
     "coupling_rhs",
     "full_rhs",
     "real",
+    "integer",
 ]
 
 COMPONENTS = ("u", "v", "w", "rho")
@@ -47,6 +48,17 @@ def real(name, value):
     if not math.isfinite(value):
         raise ValueError("%s must be finite, got %r" % (name, value))
     return value
+
+
+def integer(name, value, low):
+    """value as an int >= low; a ValueError naming `name` for anything else.
+
+    Booleans, strings, fractions and non-finite values are refused.
+    """
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < low):
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -87,9 +99,7 @@ class Parameters:
                 raise ValueError("parameter %r must be positive, got %r" % (name, val))
             if name in ("P", "Q") and val < 0.0:
                 raise ValueError("parameter %r must be nonnegative, got %r" % (name, val))
-        if not (np.isfinite(float(self.m)) and int(self.m) == self.m and self.m >= 2):
-            raise ValueError("parameter 'm' must be an integer >= 2, got %r" % (self.m,))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", integer("parameter 'm'", self.m, 2))
 
     @classmethod
     def field_names(cls):

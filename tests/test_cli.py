@@ -132,6 +132,32 @@ class TestSimulate:
         assert err.count("\n") == 1 and name in err and "integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, override, name", [
+        ("simulate", "seed=true", "seed"),
+        ("simulate", "integrator.observe_every=true", "observe_every"),
+        ("simulate", "initial.smoothing_passes=false", "smoothing_passes"),
+        ("sweep", "sweep.seeds=[1, true]", "seed"),
+    ])
+    def test_boolean_integer_rejected(self, tmp_path, capsys, command, override, name):
+        code = main([command, "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err and "integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, problem", [
+        ("initial.amplitude=5", "amplitude must be a mapping"),
+        ("initial.amplitude.u=[1]", "amplitude box for 'u' must be a pair"),
+        ('initial.amplitude.u=["-1","1"]', "amplitude box for 'u' must be a number"),
+        ("initial.amplitude.u=[true, 2]", "amplitude box for 'u' must be a number"),
+    ])
+    def test_bad_amplitude_rejected(self, tmp_path, capsys, override, problem):
+        code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and problem in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, override", [
         ("simulate", "seed=-1"),
         ("sweep", "sweep.seeds=[1,-1]"),
@@ -214,6 +240,9 @@ class TestSimulate:
         })
         code = main(["simulate", "--config", str(cfg), "--outdir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stability_limit" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_override_value(self, capsys):
         assert main(["simulate", "-s", "parameters.b=-1"]) == EXIT_CONFIG
@@ -242,6 +271,20 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("name, save", [
+        ("ic.npz", lambda path: np.savez(path, other=np.zeros((2, 4, 16)))),
+        ("ic.npy", lambda path: np.save(path, np.zeros((2, 4, 16)))),
+    ], ids=["npz-without-state", "npy"])
+    def test_initial_state_file_without_state_array(self, tmp_path, capsys, command, name, save):
+        path = tmp_path / name
+        save(path)
+        code = main([command, "-s", "grid.cells=[16]", "-s", "initial.mode=from-file",
+                     "-s", "initial.path=%s" % path, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "initial.path" in err and "'state'" in err
 
 
 def _has_avx512():
@@ -296,19 +339,30 @@ class TestSweep:
         assert "Pmin" in capsys.readouterr().out
 
     def test_stability_guard_off_by_config_key(self, tmp_path, capsys):
-        # dt is five times the explicit limit: with the guard on the run fails
-        # as a config error, with it off it diverges
+        # dt is five times the explicit limit: with the guard on the sweep
+        # fails as a config error before it starts, with it off it diverges
         args = ["sweep", "-s", "grid.cells=[16]", "-s", "integrator.scheme=explicit-rk4",
                 "-s", "integrator.dt=1.0e-2", "-s", "integrator.t_end=5.0",
                 "-s", "sweep.P=[1.0]", "-s", "sweep.seeds=[1]"]
-        for guard, outcome in (("true", {"error_type": "ValueError"}),
-                               ("false", {"verdict": "diverged"})):
-            out = tmp_path / guard
-            code = main(args + ["-s", "integrator.enforce_stability=" + guard,
-                                "--outdir", str(out)])
-            assert code == EXIT_OK
-            (run,) = json.loads((out / "sweep_report.json").read_text())["cells"][0]["runs"]
-            assert outcome.items() <= run.items()
+        code = main(args + ["-s", "integrator.enforce_stability=true",
+                            "--outdir", str(tmp_path / "true")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stability_limit" in err
+        assert not (tmp_path / "true").exists()
+        out = tmp_path / "false"
+        code = main(args + ["-s", "integrator.enforce_stability=false", "--outdir", str(out)])
+        assert code == EXIT_OK
+        (run,) = json.loads((out / "sweep_report.json").read_text())["cells"][0]["runs"]
+        assert {"verdict": "diverged"}.items() <= run.items()
+
+    @pytest.mark.parametrize("key", ["P", "Q"])
+    def test_negative_sweep_strength_rejected(self, tmp_path, capsys, key):
+        override = "sweep.%s=[-1, 1]" % key
+        assert main(["sweep", "-s", override, "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'%s'" % key in err and "nonnegative" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["P", "Q"])
     @pytest.mark.parametrize("value, problem", [

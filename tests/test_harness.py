@@ -337,29 +337,32 @@ class TestRunSweep:
         assert len(list((tmp_path / "cells").iterdir())) == 4
         assert all("error" not in run for cell in report["cells"] for run in cell["runs"])
 
-    def test_partial_failure_recorded(self, tmp_path):
-        base = small_spec(
-            tmp_path,
-            config=IntegratorConfig(scheme="explicit-rk4", dt=1e-2, t_end=0.1),
-        )
-        # dt violates the explicit stability guard, so every run errors out,
-        # but the sweep itself must still complete and record the failures
-        sweep = SweepSpec(base=base, P_values=(1.0,), Q_values=(1.0,), seeds=(1, 2))
-        path, report = run_sweep(sweep)
-        runs = report["cells"][0]["runs"]
-        assert len(runs) == 2
-        assert all("error" in r for r in runs)
-        assert [r["error_type"] for r in runs] == ["ValueError", "ValueError"]
+    def test_unstable_dt_rejected_when_built(self, tmp_path):
+        # dt violates the explicit stability guard: the spec that a sweep's
+        # base and each of its runs is made from fails before any run starts
+        unstable = IntegratorConfig(scheme="explicit-rk4", dt=1e-2, t_end=0.1)
+        with pytest.raises(ValueError, match="stability_limit"):
+            small_spec(tmp_path, config=unstable)
+        with pytest.raises(ValueError, match="stability_limit"):
+            dataclasses.replace(small_spec(tmp_path), config=unstable)
+        assert not any(tmp_path.iterdir())
 
-    def test_invalid_cell_recorded_others_run(self, tmp_path):
-        # P = -1 fails its spec check; the batch runs the valid cells
-        base = small_spec(tmp_path, config=IntegratorConfig(dt=1e-3, t_end=0.01))
-        sweep = SweepSpec(base=base, P_values=(-1.0, 2.0), Q_values=(1.0,), seeds=(1, 2))
-        _, report = run_sweep(sweep)
-        bad, good = report["cells"]
-        assert [r["error_type"] for r in bad["runs"]] == ["ValueError", "ValueError"]
-        assert [r["seed"] for r in good["runs"]] == [1, 2]
-        assert all("error" not in r and r["verdict"] for r in good["runs"])
+    @pytest.mark.parametrize("key", ["P", "Q"])
+    def test_negative_strength_rejected(self, tmp_path, key):
+        values = {"P_values": (2.0,), "Q_values": (1.0,), key + "_values": (2.0, -1.0)}
+        with pytest.raises(ValueError, match="'%s' must be nonnegative" % key):
+            SweepSpec(base=small_spec(tmp_path), seeds=(1, 2), **values)
+        assert not any(tmp_path.iterdir())
+
+    def test_runs_ordered_as_cells(self, tmp_path):
+        sweep = SweepSpec(base=small_spec(tmp_path), P_values=(1.0, 3), Q_values=(0.5,),
+                          seeds=(2, 1))
+        assert [(s.label, s.seed) for s in sweep.runs] == [
+            ("P1_Q0.5_seed2", 2), ("P1_Q0.5_seed1", 1),
+            ("P3_Q0.5_seed2", 2), ("P3_Q0.5_seed1", 1),
+        ]
+        assert [s.parameters.P for s in sweep.runs] == [1.0, 1.0, 3.0, 3.0]
+        assert {s.output_dir for s in sweep.runs} == {str(tmp_path / "cells")}
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):
