@@ -96,7 +96,7 @@ def stability_limit(g, p):
 
 
 def check_stable(cfg, p, g):
-    """ValueError if cfg is explicit-rk4, guarded, with dt above SAFETY * stability_limit."""
+    """Raise ValueError if cfg's guarded explicit-rk4 dt exceeds SAFETY * stability_limit."""
     limit = SAFETY * stability_limit(g, p)
     if cfg.scheme == "explicit-rk4" and cfg.enforce_stability and cfg.dt > limit:
         raise ValueError("dt=%g exceeds safety*stability_limit=%g for explicit-rk4"
