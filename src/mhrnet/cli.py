@@ -200,6 +200,9 @@ def cmd_sweep(args):
     section = cfg.get("sweep")
     if not isinstance(section, dict):
         raise ConfigError("config is missing the 'sweep' section")
+    for key in ("P", "Q", "seeds"):
+        if not isinstance(section.get(key, []), list):
+            raise ConfigError("sweep.%s must be a list, got %r" % (key, section[key]))
     base = build_spec(cfg, outdir=args.outdir)
     try:
         sweep = SweepSpec(

@@ -12,6 +12,7 @@ their ghost neighbours without padding the field.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,34 @@ __all__ = [
     "seminorm_h1",
     "energy_functional",
     "smooth_field",
+    "real",
+    "integer",
 ]
+
+
+def real(name, value):
+    """value as a finite float; a ValueError naming `name` for anything else.
+
+    Strings and booleans are refused even where float() would take them, so
+    a quoted number in a config is an error that names its key.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
+
+
+def integer(name, value, low):
+    """value as an int >= low; a ValueError naming `name` for anything else.
+
+    Booleans, strings, fractions and non-finite values are refused.
+    """
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value) or value < low):
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+    return int(value)
 
 
 class InvalidFieldError(ValueError):
@@ -46,20 +74,19 @@ class Grid:
     extents: tuple
 
     def __post_init__(self):
-        if not all(math.isfinite(float(n)) and int(n) == n for n in np.atleast_1d(self.cells)):
-            raise ValueError("cells must be integers, got %s" % (self.cells,))
-        cells = tuple(int(n) for n in np.atleast_1d(self.cells))
-        extents = tuple(float(L) for L in np.atleast_1d(self.extents))
+        # as objects, so each value reaches the check as it was given
+        cells = tuple(integer("grid.cells", n, 2)
+                      for n in np.atleast_1d(np.array(self.cells, dtype=object)))
+        extents = tuple(real("grid.extents", L)
+                        for L in np.atleast_1d(np.array(self.extents, dtype=object)))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "extents", extents)
         if len(cells) not in (1, 2):
             raise ValueError("grid dimension must be 1 or 2, got %d" % len(cells))
         if len(extents) != len(cells):
             raise ValueError("cells and extents must have matching length")
-        if any(n < 2 for n in cells):
-            raise ValueError("need at least 2 cells per axis")
-        if any(not np.isfinite(L) or L <= 0.0 for L in extents):
-            raise ValueError("extents must be positive and finite")
+        if any(L <= 0.0 for L in extents):
+            raise ValueError("grid.extents must be positive, got %s" % (extents,))
         spacing = tuple(L / n for L, n in zip(extents, cells))
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "cell_volume", float(np.prod(spacing)))

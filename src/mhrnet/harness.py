@@ -66,6 +66,10 @@ class InitialCondition:
             raise ValueError("unknown initial-condition mode %r" % self.mode)
         if not isinstance(self.amplitude, dict):
             raise ValueError("amplitude must be a mapping, got %r" % (self.amplitude,))
+        unknown = [str(k) for k in self.amplitude if k not in COMPONENTS]
+        if unknown:
+            raise ValueError("unknown initial.amplitude component(s) %s, expected some of %s"
+                             % (", ".join(unknown), ", ".join(COMPONENTS)))
         amp = {}
         for comp in COMPONENTS:
             name = "amplitude box for %r" % comp

@@ -7,7 +7,8 @@ exact coupling substep keeps the scheme stable for arbitrarily large
 coupling strengths, which the synchronization thresholds routinely demand.
 The tridiagonal operator I - s*L of each grid axis is LU-factored once per
 (cells, s) with LAPACK dgttrf and cached; each solve is then one dgttrs
-back-substitution.
+back-substitution.  scipy supplies both routines and is imported by the
+first factorization, so only an imex-be run loads it.
 
 Both steppers also advance a batch: B replicates of one network that share
 every parameter but the coupling strengths P and Q, held as one
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 # the blow-up check's quasi-norm is the energy functional at c1 = 1
 from .grid import energy_functional as quasi_norm
@@ -47,6 +47,10 @@ QUASI_NORM_CEILING = 1e12
 
 # an explicit-rk4 dt may use at most this fraction of stability_limit
 SAFETY = 0.9
+
+# LAPACK dgttrs, bound by the first _factor call: importing scipy.linalg
+# takes about 0.4 s and 20 MB, which a run with no implicit solve never pays
+_dgttrs = None
 
 
 class BlowUpError(RuntimeError):
@@ -131,6 +135,9 @@ def _factor(n, s):
     match, which leaves finite solutions bitwise unchanged.  The factors are
     cached and shared, so they are made read-only.
     """
+    global _dgttrs
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    _dgttrs = dgttrs
     d = np.full(max(n, 3), 1.0 + 2.0 * s)
     d[0] = d[n - 1] = 1.0 + s
     d[n:] = 1.0
@@ -147,7 +154,7 @@ def solve_banded(lu, b, overwrite_b):
     n = len(b)
     if n < len(lu[1]):
         b, overwrite_b = np.pad(b, ((0, len(lu[1]) - n), (0, 0))), True
-    return dgttrs(*lu, b, overwrite_b=overwrite_b)[0][:n]
+    return _dgttrs(*lu, b, overwrite_b=overwrite_b)[0][:n]
 
 
 def diffusion_step_be(f, g, eta, dt):
@@ -208,8 +215,13 @@ def _exact_coupling(f, decay):
     factor, off = decay
     if len(off) == len(f):
         return f
-    mean = f.mean(axis=1, keepdims=True)
-    out = mean + (f - mean) * factor
+    # f.mean's arithmetic without its Python wrapper, and one buffer for
+    # mean + (f - mean) * factor
+    mean = np.add.reduce(f, axis=1, keepdims=True)
+    mean /= f.shape[1]
+    out = f - mean
+    out *= factor
+    out += mean
     if off:
         out[off] = f[off]
     return out

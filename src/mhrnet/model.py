@@ -9,13 +9,12 @@ A batch of B replicates, which share every parameter but the coupling
 strengths, is one array of shape (B, m, 4, *cells).
 """
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import laplacian_neumann
+# real and integer live in grid, which model imports, so both can check input
+from .grid import integer, laplacian_neumann, real
 
 __all__ = [
     "COMPONENTS",
@@ -34,31 +33,6 @@ _POSITIVE = (
     "a", "b", "eta1", "eta2", "alpha", "beta",
     "q", "r", "delta", "k1", "k2", "Je",
 )
-
-
-def real(name, value):
-    """value as a finite float; a ValueError naming `name` for anything else.
-
-    Strings and booleans are refused even where float() would take them, so
-    a quoted number in a config is an error that names its key.
-    """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError("%s must be a number, got %r" % (name, value))
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("%s must be finite, got %r" % (name, value))
-    return value
-
-
-def integer(name, value, low):
-    """value as an int >= low; a ValueError naming `name` for anything else.
-
-    Booleans, strings, fractions and non-finite values are refused.
-    """
-    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value) or value < low):
-        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
-    return int(value)
 
 
 @dataclass(frozen=True)

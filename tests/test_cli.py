@@ -150,8 +150,23 @@ class TestSimulate:
         ("initial.amplitude.u=[1]", "amplitude box for 'u' must be a pair"),
         ('initial.amplitude.u=["-1","1"]', "amplitude box for 'u' must be a number"),
         ("initial.amplitude.u=[true, 2]", "amplitude box for 'u' must be a number"),
+        ("initial.amplitude.x=[1, 2]", "unknown initial.amplitude component(s) x"),
     ])
     def test_bad_amplitude_rejected(self, tmp_path, capsys, override, problem):
+        code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and problem in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, problem", [
+        ('grid.extents=["2"]', "grid.extents must be a number"),
+        ("grid.extents=[true]", "grid.extents must be a number"),
+        ("grid.extents=[.nan]", "grid.extents must be finite"),
+        ("grid.extents=[-1.0]", "grid.extents must be positive"),
+        ("grid.cells=[true]", "grid.cells must be an integer"),
+    ])
+    def test_bad_grid_value_rejected(self, tmp_path, capsys, override, problem):
         code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -322,6 +337,35 @@ class TestPortability:
         assert on == off
 
 
+class TestScipyImport:
+    def test_loaded_only_by_an_implicit_solve(self, tmp_path):
+        # scipy supplies only the imex-be diffusion solve, so the commands
+        # before the last run in one process without importing it
+        runs = [
+            ["thresholds"],
+            ["estimate-cstar", "--cells", "16", "--samples", "2"],
+            ["simulate", "-s", "grid.extents=[true]"],
+            ["simulate", "-s", "grid.cells=[16]", "-s", "integrator.scheme=explicit-rk4",
+             "-s", "integrator.dt=1.0e-3", "-s", "integrator.t_end=0.01",
+             "--outdir", str(tmp_path / "rk4")],
+            ["sweep", "-s", "grid.cells=[16]", "-s", "integrator.scheme=explicit-rk4",
+             "-s", "integrator.dt=1.0e-3", "-s", "integrator.t_end=0.01",
+             "--outdir", str(tmp_path / "rk4-sweep")],
+            ["simulate", "-s", "grid.cells=[16]", "-s", "integrator.t_end=0.01",
+             "--outdir", str(tmp_path / "imex")],
+        ]
+        probe = ("import json, sys\n"
+                 "from mhrnet.cli import main\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    print(main(argv), 'scipy' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(mhrnet.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                              env=env, check=True, capture_output=True, text=True)
+        results = [line for line in proc.stderr.splitlines() if not line.startswith("error:")]
+        assert results == ["0 False", "0 False", "2 False", "0 False", "0 False", "0 True"]
+
+
 class TestSweep:
     def test_single_cell(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -375,6 +419,18 @@ class TestSweep:
         assert main(["sweep", "-s", override, "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "sweep.%s" % key in err and problem in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ("sweep.P=5", "sweep.P"),
+        ("sweep.Q=1.0", "sweep.Q"),
+        ("sweep.seeds=3", "sweep.seeds"),
+        ("sweep.P=abc", "sweep.P"),
+    ])
+    def test_scalar_sweep_list_rejected(self, tmp_path, capsys, override, key):
+        assert main(["sweep", "-s", override, "--outdir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "%s must be a list" % key in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_sweep_section(self, tmp_path, capsys):

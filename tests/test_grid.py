@@ -28,9 +28,12 @@ def test_grid_validation():
         Grid((8,), (-1.0,))
     with pytest.raises(ValueError):
         Grid((8, 8), (1.0,))
-    for cells in ((8.5,), (float("inf"),)):
-        with pytest.raises(ValueError):
+    for cells in ((8.5,), (float("inf"),), (True,), ("8",)):
+        with pytest.raises(ValueError, match="grid.cells"):
             Grid(cells, (1.0,))
+    for extents in (("2",), (True,), (np.True_,), (float("nan"),), (1.0, "2")):
+        with pytest.raises(ValueError, match="grid.extents"):
+            Grid((8,) * len(extents), extents)
 
 
 def test_grid_geometry():

@@ -127,6 +127,8 @@ class TestInitialCondition:
                 InitialCondition(smoothing_passes=bad)
         with pytest.raises(ValueError):
             InitialCondition(mode="from-file")
+        with pytest.raises(ValueError, match="component.* x"):
+            InitialCondition(amplitude={"u": (0.0, 1.0), "x": (0.0, 1.0)})
 
 
 class TestSpecValidation:
