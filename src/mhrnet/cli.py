@@ -113,9 +113,12 @@ def build_grid(cfg):
     section = cfg.get("grid")
     if not isinstance(section, dict):
         raise ConfigError("config is missing the 'grid' section")
+    for key in ("cells", "extents"):
+        if not isinstance(section.get(key), list):
+            raise ConfigError("grid.%s must be a list, got %r" % (key, section.get(key)))
     try:
         return Grid(tuple(section["cells"]), tuple(section["extents"]))
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError("bad grid section: %s" % err) from err
 
 

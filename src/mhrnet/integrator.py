@@ -48,8 +48,9 @@ QUASI_NORM_CEILING = 1e12
 # an explicit-rk4 dt may use at most this fraction of stability_limit
 SAFETY = 0.9
 
-# LAPACK dgttrs, bound by the first _factor call: importing scipy.linalg
-# takes about 0.4 s and 20 MB, which a run with no implicit solve never pays
+# LAPACK dgttrs, bound by the first _factor call: importing scipy.linalg is
+# most of the package's start-up time and memory, which a run with no
+# implicit solve then never pays
 _dgttrs = None
 
 

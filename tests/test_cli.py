@@ -165,6 +165,9 @@ class TestSimulate:
         ("grid.extents=[.nan]", "grid.extents must be finite"),
         ("grid.extents=[-1.0]", "grid.extents must be positive"),
         ("grid.cells=[true]", "grid.cells must be an integer"),
+        ("grid.cells=64", "grid.cells must be a list"),
+        ("grid.extents=2.0", "grid.extents must be a list"),
+        ("grid.extents=null", "grid.extents must be a list"),
     ])
     def test_bad_grid_value_rejected(self, tmp_path, capsys, override, problem):
         code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
