@@ -44,7 +44,7 @@ class DerivedConstants:
     Pmin: float
     Qmin: float
     xi: float
-    kappa: float
+    kappa: float         # None when P <= Pmin (xi <= 0): no rate is guaranteed
     cstar: float
     omega_measure: float
 
@@ -107,7 +107,8 @@ def compute_constants(p, omega_measure, cstar=1.0):
         * (64.0 * beta ** 2 * cstar * k1 ** 2 * delta ** 2 / b ** 2) ** 4
     ) / (2.0 * m)
     xi = 2.0 * (m * p.P - m * Pmin)
-    kappa = min(xi, 1.0, r / 2.0, 2.0 * k2)
+    # the rate bound holds only above the threshold, where xi > 0
+    kappa = min(xi, 1.0, r / 2.0, 2.0 * k2) if xi > 0 else None
     return DerivedConstants(
         C1=C1, C2=C2, lam=lam, M=M, K=K, Cmult=Cmult,
         Pmin=Pmin, Qmin=Qmin, xi=xi, kappa=kappa,
@@ -118,19 +119,29 @@ def compute_constants(p, omega_measure, cstar=1.0):
 def pairwise_gap(x, g):
     """Squared E-norm gaps ||u_i-u_j||^2 + ... + ||rho_i-rho_j||^2 of all pairs i < j.
 
-    x is an (m, 4, *cells) state; the gaps come in the order (0, 1), (0, 2), ...,
-    (1, 2), ...  Neuron i is subtracted from all later neurons at once, and each
-    pair's four integrals are summed with math.fsum, as in grid.energy_functional.
+    x is an (m, 4, *cells) state, whose gaps come as one list in the order
+    (0, 1), (0, 2), ..., (1, 2), ...; or a (B, m, 4, *cells) batch, which
+    gives one such list per replicate.  Neuron i is subtracted from all
+    later neurons of every replicate at once, and each pair's four
+    integrals are summed with math.fsum, as in grid.energy_functional, so a
+    replicate's gaps are bitwise those of its state alone.
     """
     x = _check_field(x, g)
-    if len(x) < 2:
+    one = x.ndim == 2 + g.dim
+    if one:
+        x = x[None]
+    elif x.ndim != 3 + g.dim:
+        raise ValueError("expected a state (m, 4, *cells) or a batch (B, m, 4, *cells), "
+                         "got shape %s" % (x.shape,))
+    if x.shape[1] < 2:
         raise ValueError("pairwise gaps need at least two neurons")
-    gaps = []
-    for i in range(len(x) - 1):
-        d = x[i] - x[i + 1:]
+    gaps = [[] for _ in x]
+    for i in range(x.shape[1] - 1):
+        d = x[:, i, None] - x[:, i + 1:]
         d *= d
-        gaps += [math.fsum(s) for s in _integral(d, g).tolist()]
-    return gaps
+        for row, sums in zip(gaps, _integral(d, g).tolist()):
+            row += [math.fsum(s) for s in sums]
+    return gaps[0] if one else gaps
 
 
 @dataclass(frozen=True)
@@ -143,36 +154,61 @@ class FitResult:
 
 
 def fit_decay_rate(times, gaps, floor=1e-20, transient_fraction=0.3):
-    """Least-squares exponential rate of a positive gap time series.
+    """Least-squares exponential rate of a nonnegative gap time series.
 
     Discards the leading transient_fraction of samples (a stand-in for the
     finite settling time of the estimates) and everything from the first
     sample below `floor` on (squared norms bottom out near round-off).  A
     nondecaying series is reported as rate 0 with decayed=False rather than
-    as an error.
+    as an error; an identically zero series, or too few samples, raises
+    FitWindowError.  Any other series must be positive.
+
+    gaps of shape (samples,) is one series, which gives its FitResult.
+    gaps of shape (samples, k) holds k series as columns and gives a list
+    of k, each the FitResult or the FitWindowError of that column alone.
+    The columns that share a window are fitted together in one
+    least-squares solve, which can round a column's rate and residual in
+    the last bits differently from a solve of that column alone.
     """
     times = np.asarray(times, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
-    if times.shape != gaps.shape or times.ndim != 1:
-        raise ValueError("times and gaps must be equal-length 1-d arrays")
-    if times.size < 40:
-        raise FitWindowError("need at least 40 samples, got %d" % times.size)
-    if np.any(gaps <= 0):
+    if times.ndim != 1 or gaps.ndim not in (1, 2) or len(gaps) != times.size:
+        raise ValueError("times must be a 1-d array and gaps (samples,) or "
+                         "(samples, k), one row per time")
+    cols = gaps[:, None] if gaps.ndim == 1 else gaps
+    zero = ~cols.any(axis=0)
+    if np.any(cols[:, ~zero] <= 0):
         raise ValueError("gaps must be positive; filter zeros before fitting")
+    short = (FitWindowError("need at least 40 samples, got %d" % times.size)
+             if times.size < 40 else None)
+    out = [FitWindowError("gap identically zero") if z else short for z in zero]
     start = int(math.floor(transient_fraction * times.size))
-    below = np.nonzero(gaps[start:] < floor)[0]
-    end = start + below[0] if below.size else times.size
-    t = times[start:end]
-    y = np.log(gaps[start:end])
-    if t.size < 20:
-        raise FitWindowError(
-            "only %d usable samples between transient and floor" % t.size
-        )
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * t + intercept)) ** 2)))
-    if slope >= 0:
-        return FitResult(0.0, (float(t[0]), float(t[-1])), t.size, resid, False)
-    return FitResult(float(-slope), (float(t[0]), float(t[-1])), t.size, resid, True)
+    below = cols[start:] < floor
+    ends = np.where(below.any(axis=0), start + below.argmax(axis=0), times.size).tolist()
+    for end in sorted(set(ends)):
+        idx = [c for c, e in enumerate(ends) if e == end and out[c] is None]
+        if not idx:
+            continue
+        if end - start < 20:
+            err = FitWindowError(
+                "only %d usable samples between transient and floor" % (end - start))
+            for c in idx:
+                out[c] = err
+            continue
+        t = times[start:end]
+        window = (float(t[0]), float(t[-1]))
+        # one row per series, so each residual is a contiguous reduction
+        y = np.log(cols[start:end, idx]).T
+        slope, intercept = np.polyfit(t, y.T, 1)
+        resid = np.sqrt(np.mean((y - (slope[:, None] * t + intercept[:, None])) ** 2, axis=1))
+        for c, s, r in zip(idx, slope.tolist(), resid.tolist()):
+            out[c] = (FitResult(0.0, window, t.size, r, False) if s >= 0
+                      else FitResult(-s, window, t.size, r, True))
+    if gaps.ndim == 2:
+        return out
+    if isinstance(out[0], FitWindowError):
+        raise out[0]
+    return out[0]
 
 
 def estimate_async_degree(gap_trajectories, tail_window=0.1):

@@ -20,6 +20,7 @@ from .harness import (
     ExperimentSpec,
     InitialCondition,
     SweepSpec,
+    generate_initial,
     run_experiment,
     run_sweep,
     write_json,
@@ -62,7 +63,10 @@ def load_config(path=None):
         path = Path(path)
         if not path.is_file():
             raise ConfigError("config file not found: %s" % path)
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as err:
+            raise ConfigError("config file %s is not text: %s" % (path, err)) from err
     try:
         cfg = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as err:
@@ -146,6 +150,9 @@ def build_spec(cfg, outdir=None):
             cstar=cfg.get("cstar", 1.0),
             label=str(cfg.get("label", "run")),
         )
+        if init.mode == "from-file":
+            # read and check the state file now, so a bad one is a config error
+            generate_initial(spec, spec.seed)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
     return spec
@@ -167,7 +174,10 @@ def cmd_thresholds(args):
     _check_keys(cfg)
     p = build_parameters(cfg)
     g = build_grid(cfg)
-    dc = compute_constants(p, g.measure, real("cstar", cfg.get("cstar", 1.0)))
+    try:
+        dc = compute_constants(p, g.measure, real("cstar", cfg.get("cstar", 1.0)))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     rows = [
         ("C1", dc.C1), ("C2", dc.C2), ("lambda", dc.lam), ("M", dc.M),
         ("K", dc.K), ("Cmult", dc.Cmult), ("Pmin", dc.Pmin), ("Qmin", dc.Qmin),
@@ -177,7 +187,8 @@ def cmd_thresholds(args):
     ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
-        print("%-*s  %.12g" % (width, name, value))
+        # kappa is None at or below the threshold
+        print("%-*s  %s" % (width, name, "n/a" if value is None else "%.12g" % value))
     if args.dump:
         write_json(args.dump, dc.as_dict())
     return EXIT_OK
@@ -230,7 +241,10 @@ def cmd_estimate_cstar(args):
         g = Grid(tuple(args.cells), tuple(args.extent))
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    value = estimate_gn_constant(g, n_samples=args.samples, seed=args.seed)
+    try:
+        value = estimate_gn_constant(g, n_samples=args.samples, seed=args.seed)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     print("%.12g" % value)
     return EXIT_OK
 
@@ -295,9 +309,11 @@ def main(argv=None):
     level = logger.level
     logger.addHandler(handler)
     logger.setLevel((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+    # input errors are ConfigErrors where they arise; any other exception
+    # is a fault of the program and propagates with its traceback
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ConfigError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
     finally:

@@ -219,18 +219,25 @@ def _header(m):
     return cols + ["gap_max", "gap_mean"]
 
 
-def _sample(t, net, g, c1):
-    """One row in the layout of _header."""
-    row = [t]
-    # one norm call per field, the count that the benchmark's layer tracing
-    # checks, and one call for the gaps of all pairs
-    for u, v, w, rho in net.x:
-        row += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
-    row.append(energy_functional(net.x, g, c1))
-    gaps = pairwise_gap(net.x, g)
-    if net.m <= MAX_PAIR_COLUMNS_M:
-        return row + gaps
-    return row + [max(gaps), sum(gaps) / len(gaps)]
+def _sample(t, x, g, c1):
+    """The rows, in the layout of _header, of the replicates x (R, m, 4, *cells) at t.
+
+    c1 holds each replicate's C1 for its energy.  A replicate's row is
+    bitwise the row of its state sampled alone.
+    """
+    m = x.shape[1]
+    # one norm call per neuron and component, over all replicates at once:
+    # 4m calls, the count that the benchmark's layer tracing checks; and
+    # one call for the gaps of all pairs of all replicates
+    cols = [np.full(len(x), t)]
+    for i in range(m):
+        cols += [norm_l2(x[:, i, 0], g), norm_l2(x[:, i, 1], g), norm_l2(x[:, i, 2], g),
+                 norm_l4(x[:, i, 3], g)]
+    cols.append([energy_functional(xr, g, c) for xr, c in zip(x, c1)])
+    gaps = pairwise_gap(x, g)
+    if m > MAX_PAIR_COLUMNS_M:
+        gaps = [[max(row), sum(row) / len(row)] for row in gaps]
+    return np.column_stack(cols + [gaps])
 
 
 def _write_csv(path, header, data):
@@ -277,15 +284,16 @@ def _run_batch(specs, extra_observer=None):
     nets = [generate_initial(s, s.seed) for s in specs]
     rows = [[] for _ in specs]
 
-    def observer(t, net, b):
-        # the batch keeps every run's rows until it ends; at m = 16 one
-        # float array per row takes a quarter of the memory of the list
-        rows[b].append(np.array(_sample(t, net, g, consts[b].C1)))
-        if extra_observer is not None:
-            extra_observer(t, net)
+    def observer(t, x, live):
+        # the batch keeps every run's rows, one row of a float array per
+        # sample, until it ends
+        sample = _sample(t, x, g, [consts[b].C1 for b in live])
+        for r, b in enumerate(live):
+            rows[b].append(sample[r])
+            if extra_observer is not None:
+                extra_observer(t, NetworkState(x[r], t))
 
-    for b, net in enumerate(nets):
-        observer(net.t, net, b)
+    observer(nets[0].t, np.stack([net.x for net in nets]), range(len(nets)))
     finals = integrate(nets, [s.parameters for s in specs], g, cfg, observer)
     steps = step_count(cfg)
     return [_write_run(spec, dc, rows_b, out if isinstance(out, BlowUpError) else None, steps)
@@ -323,22 +331,21 @@ def _write_run(spec, dc, rows, blowup, steps):
     if m <= MAX_PAIR_COLUMNS_M:
         gap_trajs = dict(zip(_pairs(m), gaps.T))
         gap_max = gaps.max(axis=1)   # the largest gap over all pairs at each sample
+        # a zero sample is below any floor, so it ends its column's window;
+        # an identically zero column stays zero, which the fit reports
+        fits = fit_decay_rate(times, np.where(gaps.any(axis=0), np.maximum(gaps, 1e-300), 0.0))
     else:
-        gap_trajs = {}
+        gap_trajs, fits = {}, []
         gap_max = gaps[:, 0]
         report["note"] = ("per-pair rates are not fitted for m > %d; the verdict "
                           "reads the gap_max column" % MAX_PAIR_COLUMNS_M)
 
-    for (i, j), gap in gap_trajs.items():
+    for (i, j), fit in zip(gap_trajs, fits):
         key = "%d-%d" % (i + 1, j + 1)
-        try:
-            if np.all(gap == 0.0):
-                raise FitWindowError("gap identically zero")
-            fit = fit_decay_rate(times, np.maximum(gap, 1e-300))
-        except ValueError as err:
+        if isinstance(fit, FitWindowError):
             report["pairs"][key] = {"rate": None, "window": None, "residual": None,
-                                    "n_samples": 0, "decayed": None, "note": str(err)}
-            log.info("%s pair %s: rate fit skipped: %s", spec.label, key, err)
+                                    "n_samples": 0, "decayed": None, "note": str(fit)}
+            log.info("%s pair %s: rate fit skipped: %s", spec.label, key, fit)
             continue
         report["pairs"][key] = {
             "rate": fit.rate, "window": list(fit.window),

@@ -272,9 +272,10 @@ def integrate(net0, p, g, cfg, observer=None):
     replicate takes bitwise the trajectory it takes alone.
 
     The observer, if given, is called every cfg.observe_every steps and at
-    the final step, as observer(t, state) for one state and as
-    observer(t, state, b) for replicate b of a batch; the state passed in
-    must be treated as read-only.  Identical inputs produce
+    the final step: as observer(t, state) for one state, and once for a
+    whole batch as observer(t, x, live), where x is a read-only
+    (R, m, 4, *cells) array of the R replicates still running and live
+    lists their indices in the batch.  Identical inputs produce
     bitwise-identical trajectories.
 
     Blow-up is a non-finite value, checked after every step, located at
@@ -286,7 +287,8 @@ def integrate(net0, p, g, cfg, observer=None):
     BlowUpError.
     """
     if isinstance(net0, NetworkState):
-        watch = None if observer is None else lambda t, net, b: observer(t, net)
+        watch = None if observer is None else (
+            lambda t, x, live: observer(t, NetworkState(x[0], t)))
         (out,) = integrate([net0], [p], g, cfg, watch)
         if isinstance(out, BlowUpError):
             raise out
@@ -312,7 +314,8 @@ def integrate(net0, p, g, cfg, observer=None):
                     if bad is not None:
                         out[b] = BlowUpError(t, neuron=bad[0], component=bad[1], step=k)
                         dropped.add(r)
-            if k % cfg.observe_every == 0 or k == n_steps:
+            observe = k % cfg.observe_every == 0 or k == n_steps
+            if observe:
                 for r, b in enumerate(live):
                     if r in dropped:
                         continue
@@ -321,14 +324,16 @@ def integrate(net0, p, g, cfg, observer=None):
                         out[b] = BlowUpError(t, detail="quasi-norm %.3g exceeds ceiling" % qn,
                                              step=k)
                         dropped.add(r)
-                    elif observer is not None:
-                        observer(t, NetworkState(x[r], t), b)
             if dropped:
                 keep = [r for r in range(len(live)) if r not in dropped]
                 x, live = x[keep], [live[r] for r in keep]
                 if not live:
                     break
                 coupling = replicate_coupling([p[b] for b in live], g, cfg.dt, cfg.scheme)
+            if observe and observer is not None:
+                seen = x.view()
+                seen.flags.writeable = False
+                observer(t, seen, tuple(live))
     for r, b in enumerate(live):
         out[b] = NetworkState(x[r], t)
     return out

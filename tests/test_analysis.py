@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mhrnet import analysis
 from mhrnet.analysis import (
     FitWindowError,
     check_absorbing_envelope,
@@ -53,6 +54,16 @@ class TestConstants:
         dc = compute_constants(Parameters(P=2.0 * pmin), 1.0)
         assert dc.xi == pytest.approx(42.75)
         assert dc.kappa == pytest.approx(0.5)
+
+    def test_kappa_none_at_or_below_threshold(self):
+        # the rate bound needs xi > 0; xi itself stays as computed
+        pmin = compute_constants(Parameters(), 1.0).Pmin
+        for P in (1.0, pmin):
+            dc = compute_constants(Parameters(P=P), 1.0)
+            assert dc.kappa is None and dc.xi <= 0.0
+            assert dc.as_dict()["kappa"] is None
+        assert compute_constants(Parameters(), 1.0).xi == pytest.approx(-38.75)
+        assert compute_constants(Parameters(P=2.0 * pmin), 1.0).kappa == pytest.approx(0.5)
 
     def test_xi_sign_flips_at_pmin(self):
         pmin = compute_constants(Parameters(), 1.0).Pmin
@@ -133,6 +144,26 @@ class TestPairwiseGap:
                 want = math.fsum(np.sum(d * d) * g.cell_volume for d in x[i] - x[j])
                 assert gap_of(gaps, 5, i, j) == want
 
+    @pytest.mark.parametrize("cells", [(2,), (9,), (129,), (8, 6), (2, 5)])
+    @pytest.mark.parametrize("m", [2, 5, 17])
+    def test_batch_equals_per_state(self, cells, m):
+        # a (B, m, 4, *cells) batch gives one list per replicate, bitwise
+        # the list of that replicate's state alone
+        g = Grid(cells, (1.5,) * len(cells))
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2.0, 2.0, size=(3, m, 4) + cells) * rng.uniform(0.01, 100.0, (3,) + (1,) * (2 + len(cells)))
+        gaps = pairwise_gap(x, g)
+        assert len(gaps) == 3
+        for b in range(3):
+            assert gaps[b] == pairwise_gap(x[b], g)
+        assert pairwise_gap(x[1:2], g) == [gaps[1]]
+
+    def test_wrong_rank_rejected(self):
+        g = Grid((8,), (1.0,))
+        for shape in ((4, 8), (1, 2, 2, 4, 8)):
+            with pytest.raises(ValueError, match="expected a state"):
+                pairwise_gap(np.zeros(shape), g)
+
     def test_grid_mismatch_rejected(self):
         g = Grid((32,), (1.0,))
         x = make_state(Grid((16,), (1.0,)), [(0, 0, 0, 0), (1, 0, 0, 0)])
@@ -199,6 +230,65 @@ class TestFitDecayRate:
         with pytest.raises(FitWindowError):
             # nearly everything is below floor after the transient
             fit_decay_rate(t, np.maximum(np.exp(-10.0 * t), 1e-40), floor=1e-3)
+
+    def test_columns_match_one_column_fits(self, monkeypatch):
+        # every column of a (samples, k) fit gives the window, n_samples,
+        # decayed flag and failure note of its own 1-d fit, and a rate and
+        # residual within round-off of it
+        # noisy series, so that each residual is far above round-off
+        t = np.linspace(0.0, 20.0, 101)
+        noise = np.random.default_rng(6).normal(scale=0.05, size=(5, 101))
+        cols = [
+            np.exp(-0.5 * t + noise[0]),
+            3.0 * np.exp(-1.3 * t + noise[1]),
+            np.exp(0.1 * t + noise[2]),                    # grows: rate 0
+            np.maximum(np.exp(-4.0 * t + noise[3]), 1e-300),   # below the floor early
+            1e-5 * np.exp(-0.5 * t + noise[4]),
+            np.zeros_like(t),                              # identically zero
+            np.maximum(np.exp(-6.0 * t), 1e-300),          # too few samples before the floor
+        ]
+        calls, lstsq = [], np.polyfit
+
+        def polyfit(*args):
+            calls.append(args[1].shape)
+            return lstsq(*args)
+
+        monkeypatch.setattr(analysis.np, "polyfit", polyfit)
+        for n in (101, 30):
+            alone = []
+            for col in cols:
+                try:
+                    alone.append(fit_decay_rate(t[:n], col[:n]))
+                except FitWindowError as err:
+                    alone.append(err)
+            calls.clear()
+            together = fit_decay_rate(t[:n], np.column_stack(cols)[:n])
+            assert len(together) == len(cols)
+            for a, b in zip(alone, together):
+                assert type(a) is type(b)
+                if isinstance(a, FitWindowError):
+                    assert str(a) == str(b)
+                    continue
+                assert (a.window, a.n_samples, a.decayed) == (b.window, b.n_samples, b.decayed)
+                for name in ("rate", "residual"):
+                    want, got = getattr(a, name), getattr(b, name)
+                    assert abs(got - want) <= 1e-12 * abs(want), name
+            notes = [str(r) for r in together if isinstance(r, FitWindowError)]
+            if n == 101:
+                # one solve for the four full-window columns, one for the early floor
+                assert sorted(calls) == [(together[3].n_samples, 1), (71, 4)]
+                assert notes == ["gap identically zero",
+                                 "only 9 usable samples between transient and floor"]
+                assert together[3].window[1] < 20.0 and together[2].rate == 0.0
+            else:
+                assert calls == []
+                assert notes == ["need at least 40 samples, got 30"] * 5 + [
+                    "gap identically zero", "need at least 40 samples, got 30"]
+
+    def test_identically_zero_series(self):
+        t = np.linspace(0.0, 10.0, 100)
+        with pytest.raises(FitWindowError, match="gap identically zero"):
+            fit_decay_rate(t, np.zeros_like(t))
 
     def test_rejects_nonpositive_gaps(self):
         t = np.linspace(0.0, 10.0, 100)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -43,6 +44,9 @@ class TestThresholds:
         data = json.loads(dump.read_text())
         assert data["Pmin"] == pytest.approx(10.6875)
         assert data["C1"] == pytest.approx(5.0)
+        # P = 1 is below Pmin, where the paper guarantees no rate
+        assert data["kappa"] is None
+        assert re.search(r"^kappa +n/a$", capsys.readouterr().out, re.M)
 
     def test_missing_parameter_named(self, tmp_path, capsys):
         cfg = load_config(None)
@@ -67,6 +71,12 @@ class TestThresholds:
 
     def test_missing_config_file(self, capsys):
         assert main(["thresholds", "--config", "/nonexistent.yaml"]) == EXIT_CONFIG
+
+    def test_binary_config_file(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["thresholds", "--config", str(path)]) == EXIT_CONFIG
+        assert "not text" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -289,6 +299,17 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_program_fault_propagates(self, tmp_path, monkeypatch):
+        # input errors become ConfigErrors where they arise, so a ValueError
+        # from inside a run is a fault: it leaves main with its traceback
+        # and is not reported as a config error
+        def broken(spec):
+            raise ValueError("fault inside the run")
+
+        monkeypatch.setattr(mhrnet.cli, "run_experiment", broken)
+        with pytest.raises(ValueError, match="fault inside the run"):
+            main(["simulate", "--outdir", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("name, save", [

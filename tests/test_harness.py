@@ -7,7 +7,7 @@ import pytest
 
 from mhrnet import harness
 from mhrnet.analysis import compute_constants, pairwise_gap
-from mhrnet.grid import Grid, seminorm_h1
+from mhrnet.grid import Grid, energy_functional, norm_l2, norm_l4, seminorm_h1
 from mhrnet.harness import (
     ExperimentSpec,
     InitialCondition,
@@ -15,8 +15,11 @@ from mhrnet.harness import (
     generate_initial,
     run_experiment,
     run_sweep,
+    MAX_PAIR_COLUMNS_M,
     SCHEMA_VERSION,
+    _header,
     _quasinorm_series,
+    _sample,
     _write_csv,
 )
 from mhrnet.integrator import IntegratorConfig
@@ -146,6 +149,29 @@ def test_quasinorm_series_exactly_permutation_invariant(m):
         assert np.array_equal(_quasinorm_series(norms[:, perm]), _quasinorm_series(norms))
 
 
+@pytest.mark.parametrize("cells", [(2,), (9,), (129,), (8, 6), (2, 5)])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("m", [2, 5, 17])
+def test_batch_sample_rows_equal_rows_sampled_alone(cells, B, m):
+    # each replicate's row is bitwise the row of its state sampled alone:
+    # one norm call per field, its own energy and the per-state gap list
+    g = Grid(cells, (1.5,) * len(cells))
+    rng = np.random.default_rng(7)
+    scale = rng.uniform(0.01, 100.0, (B,) + (1,) * (2 + len(cells)))
+    x = rng.uniform(-2.0, 2.0, size=(B, m, 4) + cells) * scale
+    c1 = [5.0, 0.5, 2.0][:B]
+    rows = _sample(0.25, x, g, c1)
+    assert rows.shape == (B, len(_header(m)))
+    for b, xb in enumerate(x):
+        want = [0.25]
+        for u, v, w, rho in xb:
+            want += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
+        want.append(energy_functional(xb, g, c1[b]))
+        gaps = pairwise_gap(xb, g)
+        want += gaps if m <= MAX_PAIR_COLUMNS_M else [max(gaps), sum(gaps) / len(gaps)]
+        assert rows[b].tobytes() == np.array(want).tobytes()
+
+
 def test_write_csv_formats_each_value_in_17g(tmp_path):
     # signed zero, non-finite, subnormal and near-underflow values, where a
     # difference between formatting numpy scalars and Python floats would show
@@ -173,14 +199,16 @@ class TestRunExperiment:
         )
 
     def test_thresholds_compared_strictly(self, tmp_path):
-        # at P = Pmin, xi = 0 gives kappa = 0: neither threshold is exceeded
+        # at P = Pmin, xi = 0: neither threshold is exceeded, and no rate is guaranteed
         g = Grid((16,), (1.0,))
         dc = compute_constants(Parameters(), g.measure, 1.0)
         spec = small_spec(tmp_path, parameters=Parameters(P=dc.Pmin, Q=dc.Qmin), grid=g,
                           config=IntegratorConfig(dt=1e-3, t_end=0.01))
-        th = run_experiment(spec).report["thresholds"]
+        report = run_experiment(spec).report
+        th = report["thresholds"]
         assert (th["P"], th["Q"]) == (th["Pmin"], th["Qmin"])
         assert th["P_above"] is False and th["Q_above"] is False
+        assert report["derived_constants"]["kappa"] is None
 
     def test_csv_header_contract(self, tmp_path):
         res = run_experiment(small_spec(tmp_path))
@@ -210,14 +238,14 @@ class TestRunExperiment:
         calls = []
 
         def counted(x, g):
-            calls.append(len(x))
+            calls.append(x.shape[:2])
             return pairwise_gap(x, g)
 
         monkeypatch.setattr(harness, "pairwise_gap", counted)
         res = run_experiment(small_spec(tmp_path, parameters=Parameters(m=5)))
         samples = len(res.timeseries_path.read_text().splitlines()) - 1
         assert samples == 11
-        assert calls == [5] * samples
+        assert calls == [(1, 5)] * samples
 
     def test_initial_row_recorded(self, tmp_path):
         res = run_experiment(small_spec(tmp_path))

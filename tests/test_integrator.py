@@ -357,8 +357,13 @@ class TestIntegrate:
             nets.append(net)
             ps.append(Parameters(P=P, Q=Q))
         seen = [[] for _ in nets]
-        out = integrate([n.copy() for n in nets], ps, g, cfg,
-                        lambda t, s, b: seen[b].append((t, s.x.copy())))
+
+        def observer(t, x, live):
+            assert not x.flags.writeable and len(x) == len(live)
+            for r, b in enumerate(live):
+                seen[b].append((t, x[r].copy()))
+
+        out = integrate([n.copy() for n in nets], ps, g, cfg, observer)
         for b, (net, p) in enumerate(zip(nets, ps)):
             alone = []
             try:
