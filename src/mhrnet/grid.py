@@ -179,7 +179,7 @@ def norm_l4(f, g):
     # the fourth root is taken as a Python float: numpy's vectorized power
     # rounds differently in the last bit
     roots = [v ** 0.25 for v in np.ravel(s).tolist()]
-    return roots[0] if np.ndim(s) == 0 else np.reshape(roots, np.shape(s))
+    return roots[0] if np.ndim(s) == 0 else np.array(roots).reshape(s.shape)
 
 
 def seminorm_h1(f, g):

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,7 +178,10 @@ def generate_initial(spec, seed):
     p, g, ic = spec.parameters, spec.grid, spec.initial
     shape = (p.m, len(COMPONENTS)) + g.shape
     if ic.mode == "from-file":
-        data = np.load(ic.path)
+        try:
+            data = np.load(ic.path)
+        except (EOFError, zipfile.BadZipFile) as err:
+            raise ValueError("initial.path %s cannot be read: %s" % (ic.path, err)) from err
         # an npz archive lists its arrays in .files; a .npy file loads as one array
         if "state" not in getattr(data, "files", ()):
             raise ValueError("initial.path %s is not an npz with an array 'state'" % ic.path)
@@ -229,15 +233,15 @@ def _sample(t, x, g, c1):
     # one norm call per neuron and component, over all replicates at once:
     # 4m calls, the count that the benchmark's layer tracing checks; and
     # one call for the gaps of all pairs of all replicates
-    cols = [np.full(len(x), t)]
+    norms = []
     for i in range(m):
-        cols += [norm_l2(x[:, i, 0], g), norm_l2(x[:, i, 1], g), norm_l2(x[:, i, 2], g),
-                 norm_l4(x[:, i, 3], g)]
-    cols.append([energy_functional(xr, g, c) for xr, c in zip(x, c1)])
+        norms += [norm_l2(x[:, i, 0], g), norm_l2(x[:, i, 1], g), norm_l2(x[:, i, 2], g),
+                  norm_l4(x[:, i, 3], g)]
+    energy = [energy_functional(xr, g, c) for xr, c in zip(x, c1)]
     gaps = pairwise_gap(x, g)
     if m > MAX_PAIR_COLUMNS_M:
         gaps = [[max(row), sum(row) / len(row)] for row in gaps]
-    return np.column_stack(cols + [gaps])
+    return np.column_stack([np.full(len(x), t), np.array(norms).T, energy, gaps])
 
 
 def _write_csv(path, header, data):

@@ -334,6 +334,9 @@ def integrate(net0, p, g, cfg, observer=None):
                 seen = x.view()
                 seen.flags.writeable = False
                 observer(t, seen, tuple(live))
+                # a view kept until the next observation would hold this
+                # state in memory through all the steps in between
+                del seen
     for r, b in enumerate(live):
         out[b] = NetworkState(x[r], t)
     return out

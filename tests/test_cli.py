@@ -300,6 +300,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 truncated"], ids=["empty", "truncated"])
+    def test_unreadable_initial_state_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "ic.npz"
+        path.write_bytes(content)
+        code = main([command, "-s", "grid.cells=[16]", "-s", "initial.mode=from-file",
+                     "-s", "initial.path=%s" % path, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "initial.path" in err and "cannot be read" in err
+        assert not (tmp_path / "out").exists()
+
     def test_program_fault_propagates(self, tmp_path, monkeypatch):
         # input errors become ConfigErrors where they arise, so a ValueError
         # from inside a run is a fault: it leaves main with its traceback
