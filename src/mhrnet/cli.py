@@ -239,9 +239,6 @@ def cmd_estimate_cstar(args):
         raise ConfigError("--samples must be >= 1")
     try:
         g = Grid(tuple(args.cells), tuple(args.extent))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    try:
         value = estimate_gn_constant(g, n_samples=args.samples, seed=args.seed)
     except ValueError as err:
         raise ConfigError(str(err)) from err

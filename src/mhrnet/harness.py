@@ -180,12 +180,14 @@ def generate_initial(spec, seed):
     if ic.mode == "from-file":
         try:
             data = np.load(ic.path)
+            # an npz archive lists its arrays in .files; a .npy file loads as one array
+            if "state" not in getattr(data, "files", ()):
+                raise ValueError("initial.path %s is not an npz with an array 'state'"
+                                 % ic.path)
+            # an npz member is read, and its checksum checked, here
+            x = data["state"]
         except (EOFError, zipfile.BadZipFile) as err:
             raise ValueError("initial.path %s cannot be read: %s" % (ic.path, err)) from err
-        # an npz archive lists its arrays in .files; a .npy file loads as one array
-        if "state" not in getattr(data, "files", ()):
-            raise ValueError("initial.path %s is not an npz with an array 'state'" % ic.path)
-        x = data["state"]
         if x.shape != shape:
             raise ValueError("state array shape %s does not match (m, 4, cells)" % (x.shape,))
         if x.dtype.kind not in "iuf":
@@ -289,8 +291,8 @@ def _run_batch(specs, extra_observer=None):
     rows = [[] for _ in specs]
 
     def observer(t, x, live):
-        # the batch keeps every run's rows, one row of a float array per
-        # sample, until it ends
+        # each run keeps its rows, views of one array per observation,
+        # until the batch ends
         sample = _sample(t, x, g, [consts[b].C1 for b in live])
         for r, b in enumerate(live):
             rows[b].append(sample[r])

@@ -301,10 +301,15 @@ class TestSimulate:
         assert err.count("\n") == 1 and "non-finite" in err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 truncated"], ids=["empty", "truncated"])
-    def test_unreadable_initial_state_file(self, tmp_path, capsys, command, content):
+    @pytest.mark.parametrize("damage", [
+        lambda data: b"",
+        lambda data: data[:200],
+        lambda data: data.replace(b"\x00\x00\xf0?", b"\x00\x00\xf0@", 1),
+    ], ids=["empty", "truncated", "bad-checksum"])
+    def test_unreadable_initial_state_file(self, tmp_path, capsys, command, damage):
         path = tmp_path / "ic.npz"
-        path.write_bytes(content)
+        np.savez(path, state=np.ones((2, 4, 16)))
+        path.write_bytes(damage(path.read_bytes()))
         code = main([command, "-s", "grid.cells=[16]", "-s", "initial.mode=from-file",
                      "-s", "initial.path=%s" % path, "--outdir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
