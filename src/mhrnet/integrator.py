@@ -5,10 +5,10 @@ alternating-direction sweeps in 2D), the reaction explicitly, and the
 all-to-all linear coupling by an exact integrating-factor substep.  The
 exact coupling substep keeps the scheme stable for arbitrarily large
 coupling strengths, which the synchronization thresholds routinely demand.
-The tridiagonal operator I - s*L of each grid axis is LU-factored once per
-(cells, s) with LAPACK dgttrf and cached; each solve is then one dgttrs
-back-substitution.  scipy supplies both routines and is imported by the
-first factorization, so only an imex-be run loads it.
+The SPD tridiagonal operator I - s*L of each grid axis is LDL^T-factored
+once per (cells, s) with LAPACK dpttrf and cached; each solve is then one
+dpttrs back-substitution.  scipy supplies both routines and is imported by
+the first factorization, so only an imex-be run loads it.
 
 Both steppers also advance a batch: B replicates of one network that share
 every parameter but the coupling strengths P and Q, held as one
@@ -48,10 +48,9 @@ QUASI_NORM_CEILING = 1e12
 # an explicit-rk4 dt may use at most this fraction of stability_limit
 SAFETY = 0.9
 
-# LAPACK dgttrs, bound by the first _factor call: importing scipy.linalg is
-# most of the package's start-up time and memory, which a run with no
-# implicit solve then never pays
-_dgttrs = None
+# LAPACK dpttrs, bound by the first _factor call, so a run with no implicit
+# solve never imports scipy.linalg, most of the package's start-up cost
+_dpttrs = None
 
 
 class BlowUpError(RuntimeError):
@@ -101,11 +100,19 @@ def stability_limit(g, p):
 
 
 def check_stable(cfg, p, g):
-    """Raise ValueError if cfg's guarded explicit-rk4 dt exceeds SAFETY * stability_limit."""
+    """Raise ValueError for a guarded explicit-rk4 dt above SAFETY * stability_limit,
+    or an imex-be dt at which some axis's s = dt*eta/h^2 has 1 + s == s."""
     limit = SAFETY * stability_limit(g, p)
     if cfg.scheme == "explicit-rk4" and cfg.enforce_stability and cfg.dt > limit:
         raise ValueError("dt=%g exceeds safety*stability_limit=%g for explicit-rk4"
                          % (cfg.dt, limit))
+    for name, eta in (("eta1", p.eta1), ("eta2", p.eta2)):
+        for h in g.spacing if cfg.scheme == "imex-be" else ():
+            s = cfg.dt * eta / (h * h)
+            if 1.0 + s == s:
+                raise ValueError("dt=%g, %s=%g, h=%g give s=dt*eta/h^2=%g: 1 + s rounds to s, "
+                                 "so the imex-be diffusion solve is singular"
+                                 % (cfg.dt, name, eta, h, s))
 
 
 def step_rk4(net, p, g, dt, strengths=None):
@@ -129,55 +136,47 @@ def step_rk4(net, p, g, dt, strengths=None):
 
 @functools.lru_cache(maxsize=16)
 def _factor(n, s):
-    """LU factors (dl, d, du, du2, ipiv) of I - s*L_1d, Neumann Laplacian on n cells.
+    """LDL^T factors (d, e) of I - s*L_1d, Neumann Laplacian on n >= 2 cells.
 
-    scipy's gttrf/gttrs wrappers reject n = 2, so a 2-cell system is factored
-    with an identity row appended; solve_banded pads the right-hand side to
-    match, which leaves finite solutions bitwise unchanged.  The factors are
-    cached and shared, so they are made read-only.
+    Raises ValueError if dpttrf finds it singular in floating point.  The
+    factors are cached and shared, so they are made read-only.
     """
-    global _dgttrs
-    from scipy.linalg.lapack import dgttrf, dgttrs
-    _dgttrs = dgttrs
-    d = np.full(max(n, 3), 1.0 + 2.0 * s)
-    d[0] = d[n - 1] = 1.0 + s
-    d[n:] = 1.0
-    off = np.full(len(d) - 1, -s)
-    off[n - 1:] = 0.0
-    lu = dgttrf(off, d, off.copy())[:5]
-    for a in lu:
-        a.flags.writeable = False
-    return lu
+    global _dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    _dpttrs = dpttrs
+    d = np.full(n, 1.0 + 2.0 * s)
+    d[0] = d[-1] = 1.0 + s
+    d, e, info = dpttrf(d, np.full(n - 1, -s), overwrite_d=True, overwrite_e=True)
+    if info != 0:
+        raise ValueError("dpttrf: I - s*L on %d cells is singular at s=%g" % (n, s))
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
 
 
-def solve_banded(lu, b, overwrite_b):
+def solve_banded(factors, b, overwrite_b):
     """Solve with the factors of _factor for every column of b, shape (n, k)."""
-    n = len(b)
-    if n < len(lu[1]):
-        b, overwrite_b = np.pad(b, ((0, len(lu[1]) - n), (0, 0))), True
-    return _dgttrs(*lu, b, overwrite_b=overwrite_b)[0][:n]
+    return _dpttrs(*factors, b, overwrite_b=overwrite_b)[0]
 
 
 def diffusion_step_be(f, g, eta, dt):
     """One backward-Euler diffusion step (I - dt*eta*L) f_new = f.
 
     f may carry leading axes; each grid axis is solved for all lines at
-    once, and in 2D the operator is factored into alternating-direction
-    sweeps.  The tridiagonal matrix of an axis is factored once per
-    (cells, dt*eta/h^2) and each call is one dgttrs back-substitution.  The
-    matrix is strictly diagonally dominant, so the solve cannot fail;
-    non-finite values pass through to the blow-up check.
+    once by one solve_banded call, and in 2D the operator is factored into
+    alternating-direction sweeps.  check_stable rejects an s = dt*eta/h^2
+    that makes the matrix singular, so the solve cannot fail; non-finite
+    values pass through to the blow-up check.
     """
     f = np.asarray(f, dtype=float)
     lead = f.ndim - g.dim
     for k, h in enumerate(g.spacing):
-        lu = _factor(g.cells[k], dt * eta / (h * h))
+        factors = _factor(g.cells[k], dt * eta / (h * h))
         # with the solved axis last, every line is one column of the
         # right-hand side, so one call solves them all; a right-hand side
         # that reshape had to copy is ours to overwrite
         lines = f.swapaxes(lead + k, -1)
         rhs = lines.reshape(-1, g.cells[k])
-        sol = solve_banded(lu, rhs.T, overwrite_b=not np.may_share_memory(rhs, f))
+        sol = solve_banded(factors, rhs.T, overwrite_b=not np.may_share_memory(rhs, f))
         f = sol.T.reshape(lines.shape).swapaxes(lead + k, -1)
     return f
 

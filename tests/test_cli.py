@@ -272,6 +272,17 @@ class TestSimulate:
         assert err.count("\n") == 1 and "stability_limit" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("eta", ["eta1", "eta2"])
+    def test_singular_implicit_solve_rejected(self, eta, tmp_path, capsys):
+        # s = dt*eta/h^2 ~ 1.6e301, where 1 + s rounds to s: exit 2 before
+        # the first step, not a divergence, and without importing scipy
+        code = main(["simulate", "-s", "parameters.%s=1.0e300" % eta,
+                     "-s", "integrator.t_end=0.01", "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and eta in err and "1 + s rounds to s" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_override_value(self, capsys):
         assert main(["simulate", "-s", "parameters.b=-1"]) == EXIT_CONFIG
         assert main(["simulate", "-s", "no-equals-sign"]) == EXIT_CONFIG

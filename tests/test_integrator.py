@@ -8,6 +8,7 @@ from mhrnet.integrator import (
     BlowUpError,
     IntegratorConfig,
     _factor,
+    check_stable,
     diffusion_step_be,
     integrate,
     stability_limit,
@@ -159,24 +160,47 @@ class TestImplicitDiffusion:
 
     @pytest.mark.parametrize("lead, cells", [
         ((), (64,)), ((), (128,)), ((), (2,)), ((), (48, 80)), ((), (2, 5)),
-        ((3, 2), (128,)), ((3, 2), (48, 80)),
+        ((3, 2), (128,)), ((3, 2), (48, 80)), ((), (2, 2)), ((4,), (3, 7)),
     ])
     def test_matches_solve_banded(self, lead, cells):
-        # the cached LU and dgttrs give scipy's banded solve bit for bit
+        # the cached LDL^T factors and dpttrs give scipy's symmetric banded
+        # solve bit for bit
         g = Grid(cells, (1.0,) * len(cells))
         f = np.random.default_rng(3).normal(size=lead + cells)
         eta, dt = 0.7, 0.05
         ref = f
         for k, h in enumerate(g.spacing):
             n, s = cells[k], dt * eta / (h * h)
-            band = np.zeros((3, n))
-            band[0, 1:] = band[2, :-1] = -s
+            band = np.zeros((2, n))
+            band[0, 1:] = -s
             band[1] = 1.0 + 2.0 * s
             band[1, 0] = band[1, -1] = 1.0 + s
             lines = np.moveaxis(ref, k - len(cells), -1)
-            sol = scipy.linalg.solve_banded((1, 1), band, lines.reshape(-1, n).T)
+            sol = scipy.linalg.solveh_banded(band, lines.reshape(-1, n).T)
             ref = np.moveaxis(sol.T.reshape(lines.shape), -1, k - len(cells))
         assert np.array_equal(diffusion_step_be(f, g, eta, dt), ref)
+
+    @pytest.mark.parametrize("cells", [(2,), (3,), (2, 2)])
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e6])
+    def test_smallest_grids_match_dense_solve(self, cells, s):
+        # two- and three-cell axes against a dense solve of each sweep's
+        # I - s*L; elimination's forward error grows like eps*cond(I - s*L),
+        # cond <= 1 + 4s, which is above 1e-12 only at s = 1e6
+        g = Grid(cells, (1.0,) * len(cells))
+        h = g.spacing[0]
+        f = np.random.default_rng(5).normal(size=cells)
+        dt = s * h * h
+        out = diffusion_step_be(f, g, 1.0, dt)
+        ref = f
+        for k, n in enumerate(cells):
+            lap = np.diag(np.full(n, -2.0)) + np.eye(n, k=1) + np.eye(n, k=-1)
+            lap[0, 0] = lap[-1, -1] = -1.0
+            lines = np.moveaxis(ref, k, -1)
+            sol = np.linalg.solve(np.eye(n) - dt / (h * h) * lap, lines.reshape(-1, n).T)
+            ref = np.moveaxis(sol.T.reshape(lines.shape), -1, k)
+        tol = max(1e-12, g.dim * np.finfo(float).eps * (1.0 + 4.0 * s)) * np.max(np.abs(f))
+        assert np.max(np.abs(out - ref)) <= tol
+        assert abs(np.sum(out) - np.sum(f)) <= tol
 
     @pytest.mark.parametrize("f, cells", [
         (np.linspace(-1.0, 1.0, 64), (64,)),                      # lines are a view of f
@@ -195,6 +219,11 @@ class TestImplicitDiffusion:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_factor_rejects_singular_matrix(self):
+        # at s >= 2**53, 1 + s rounds to s and I - s*L is singular in floating point
+        with pytest.raises(ValueError, match="singular"):
+            _factor(16, 1e16)
 
     def test_factor_cache_per_step(self):
         g = unit_grid(40)
@@ -309,6 +338,19 @@ class TestIntegrate:
         dt = edge * (1 - 1e-9)
         under = IntegratorConfig(scheme="explicit-rk4", dt=dt, t_end=dt)
         assert integrate(const_net(g, 2), p, g, under).t == dt
+
+    @pytest.mark.parametrize("eta", ["eta1", "eta2"])
+    def test_singular_implicit_solve_rejected(self, eta):
+        g = unit_grid(16)
+        h = g.spacing[0]
+        cfg = IntegratorConfig(scheme="imex-be", dt=1.0, t_end=1.0)
+        # s = dt*eta/h^2 = 2**53 is the smallest s with 1 + s == s
+        with pytest.raises(ValueError, match="1 \\+ s rounds to s"):
+            check_stable(cfg, Parameters(**{eta: 2.0 ** 53 * h * h}), g)
+        check_stable(cfg, Parameters(**{eta: (2.0 ** 53 - 1.0) * h * h}), g)
+        check_stable(IntegratorConfig(scheme="explicit-rk4", dt=1.0, t_end=1.0,
+                                      enforce_stability=False),
+                     Parameters(**{eta: 2.0 ** 53 * h * h}), g)
 
     def test_blow_up_reported(self):
         # twice the diffusion stability limit with the guard off: the
