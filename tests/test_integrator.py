@@ -221,7 +221,7 @@ class TestImplicitDiffusion:
                 a[0] = 0
 
     def test_factor_rejects_singular_matrix(self):
-        # at s >= 2**53, 1 + s rounds to s and I - s*L is singular in floating point
+        # at s = 1e16 > 2**53, 1 + s rounds to s and I - s*L is singular in floating point
         with pytest.raises(ValueError, match="singular"):
             _factor(16, 1e16)
 
