@@ -119,20 +119,15 @@ def compute_constants(p, omega_measure, cstar=1.0):
 def pairwise_gap(x, g):
     """Squared E-norm gaps ||u_i-u_j||^2 + ... + ||rho_i-rho_j||^2 of all pairs i < j.
 
-    x is an (m, 4, *cells) state, whose gaps come as one list in the order
-    (0, 1), (0, 2), ..., (1, 2), ...; or a (B, m, 4, *cells) batch, which
-    gives one such list per replicate.  Neuron i is subtracted from all
-    later neurons of every replicate at once, and each pair's four
+    x is a (B, m, 4, *cells) batch, which gives one list per replicate in
+    the order (0, 1), (0, 2), ..., (1, 2), ....  Neuron i is subtracted
+    from all later neurons of every replicate at once, and each pair's four
     integrals are summed with math.fsum, as in grid.energy_functional, so a
-    replicate's gaps are bitwise those of its state alone.
+    replicate's gaps do not depend on the rest of its batch.
     """
     x = _check_field(x, g)
-    one = x.ndim == 2 + g.dim
-    if one:
-        x = x[None]
-    elif x.ndim != 3 + g.dim:
-        raise ValueError("expected a state (m, 4, *cells) or a batch (B, m, 4, *cells), "
-                         "got shape %s" % (x.shape,))
+    if x.ndim != 3 + g.dim:
+        raise ValueError("expected a batch (B, m, 4, *cells), got shape %s" % (x.shape,))
     if x.shape[1] < 2:
         raise ValueError("pairwise gaps need at least two neurons")
     gaps = [[] for _ in x]
@@ -141,7 +136,7 @@ def pairwise_gap(x, g):
         d *= d
         for row, sums in zip(gaps, _integral(d, g).tolist()):
             row += [math.fsum(s) for s in sums]
-    return gaps[0] if one else gaps
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -154,28 +149,24 @@ class FitResult:
 
 
 def fit_decay_rate(times, gaps, floor=1e-20, transient_fraction=0.3):
-    """Least-squares exponential rate of a nonnegative gap time series.
+    """Least-squares exponential rates of the nonnegative gap series in the columns of gaps.
 
-    Discards the leading transient_fraction of samples (a stand-in for the
-    finite settling time of the estimates) and everything from the first
-    sample below `floor` on (squared norms bottom out near round-off).  A
-    nondecaying series is reported as rate 0 with decayed=False rather than
-    as an error; an identically zero series, or too few samples, raises
-    FitWindowError.  Any other series must be positive.
-
-    gaps of shape (samples,) is one series, which gives its FitResult.
-    gaps of shape (samples, k) holds k series as columns and gives a list
-    of k, each the FitResult or the FitWindowError of that column alone.
-    The columns that share a window are fitted together in one
+    gaps has shape (samples, k), one row per time, and the result is a
+    list of k, each the FitResult or the FitWindowError of that column.
+    Each fit discards the leading transient_fraction of samples (a
+    stand-in for the finite settling time of the estimates) and everything
+    from the first sample below `floor` on (squared norms bottom out near
+    round-off).  A nondecaying series is reported as rate 0 with
+    decayed=False rather than as an error; an identically zero series, or
+    too few samples, gives a FitWindowError.  Any other series must be
+    positive.  The columns that share a window are fitted together in one
     least-squares solve, which can round a column's rate and residual in
     the last bits differently from a solve of that column alone.
     """
     times = np.asarray(times, dtype=float)
-    gaps = np.asarray(gaps, dtype=float)
-    if times.ndim != 1 or gaps.ndim not in (1, 2) or len(gaps) != times.size:
-        raise ValueError("times must be a 1-d array and gaps (samples,) or "
-                         "(samples, k), one row per time")
-    cols = gaps[:, None] if gaps.ndim == 1 else gaps
+    cols = np.asarray(gaps, dtype=float)
+    if times.ndim != 1 or cols.ndim != 2 or len(cols) != times.size:
+        raise ValueError("times must be a 1-d array and gaps (samples, k), one row per time")
     zero = ~cols.any(axis=0)
     if np.any(cols[:, ~zero] <= 0):
         raise ValueError("gaps must be positive; filter zeros before fitting")
@@ -204,11 +195,7 @@ def fit_decay_rate(times, gaps, floor=1e-20, transient_fraction=0.3):
         for c, s, r in zip(idx, slope.tolist(), resid.tolist()):
             out[c] = (FitResult(0.0, window, t.size, r, False) if s >= 0
                       else FitResult(-s, window, t.size, r, True))
-    if gaps.ndim == 2:
-        return out
-    if isinstance(out[0], FitWindowError):
-        raise out[0]
-    return out[0]
+    return out
 
 
 def estimate_async_degree(gap_trajectories, tail_window=0.1):

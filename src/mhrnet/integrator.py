@@ -10,11 +10,12 @@ once per (cells, s) with LAPACK dpttrf and cached; each solve is then one
 dpttrs back-substitution.  scipy supplies both routines and is imported by
 the first factorization, so only an imex-be run loads it.
 
-Both steppers also advance a batch: B replicates of one network that share
+Both steppers advance a batch: B replicates of one network that share
 every parameter but the coupling strengths P and Q, held as one
-(B, m, 4, *cells) array.  Every operation acts on each replicate alone, in
-the same order, so a replicate's trajectory is bitwise the one it takes by
-itself; the batch only shares the per-call cost of each operation.
+(B, m, 4, *cells) array; one network is the batch of one.  Every operation
+acts on each replicate alone, in the same order, so a replicate's
+trajectory is bitwise the one it takes in a batch of one; the batch only
+shares the per-call cost of each operation.
 """
 
 import functools
@@ -25,7 +26,7 @@ import numpy as np
 
 # the blow-up check's quasi-norm is the energy functional at c1 = 1
 from .grid import energy_functional as quasi_norm
-from .model import NetworkState, full_rhs, integer, reaction_rhs, real
+from .model import NetworkState, Parameters, full_rhs, integer, reaction_rhs, real
 
 __all__ = [
     "IntegratorConfig",
@@ -35,6 +36,7 @@ __all__ = [
     "step_rk4",
     "step_imex",
     "diffusion_step_be",
+    "replicate_coupling",
     "integrate",
     "step_count",
     "QUASI_NORM_CEILING",
@@ -115,23 +117,19 @@ def check_stable(cfg, p, g):
                                  % (cfg.dt, name, eta, h, s))
 
 
-def step_rk4(net, p, g, dt, strengths=None):
+def step_rk4(x, p, g, dt, strengths):
     """Classical 4-stage Runge-Kutta step on the full right-hand side.
 
-    net is one NetworkState, stepped to a new NetworkState; or a batch
-    array (B, m, 4, *cells) with the replicates' coupling strengths from
-    replicate_coupling, stepped to a new array.
+    x is a batch (B, m, 4, *cells) and strengths the replicates' coupling
+    strengths from replicate_coupling; returns the stepped batch.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    one = isinstance(net, NetworkState)
-    x = net.x if one else net
     k1 = full_rhs(x, p, g, strengths)
     k2 = full_rhs(x + dt / 2.0 * k1, p, g, strengths)
     k3 = full_rhs(x + dt / 2.0 * k2, p, g, strengths)
     k4 = full_rhs(x + dt * k3, p, g, strengths)
-    x = x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return NetworkState(x, net.t + dt) if one else x
+    return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @functools.lru_cache(maxsize=16)
@@ -188,9 +186,9 @@ def replicate_coupling(ps, g, dt, scheme):
     the factors exp(-m*strength*dt) by which the exact coupling substep
     damps deviations from the neuron mean, with the list of replicates
     whose strength is zero.  Strengths and factors are arrays over the
-    replicates, shaped to broadcast over a (B, m, *cells) field.  The
-    factors are taken with math.exp, as for one state, so they are bitwise
-    the same.
+    replicates, shaped to broadcast over a (B, m, *cells) field.  Each
+    factor is taken with math.exp on its own replicate's strength, so it
+    does not depend on the rest of the batch.
     """
     shape = (len(ps),) + (1,) * (1 + g.dim)
     out = []
@@ -227,20 +225,14 @@ def _exact_coupling(f, decay):
     return out
 
 
-def step_imex(net, p, g, dt, decay=None):
+def step_imex(x0, p, g, dt, decay):
     """First-order IMEX step: explicit reaction, exact coupling, implicit diffusion.
 
-    net is one NetworkState, stepped to a new NetworkState; or a batch
-    array (B, m, 4, *cells) with decay, the replicates' coupling factors
-    from replicate_coupling, stepped to a new array.
+    x0 is a batch (B, m, 4, *cells) and decay the replicates' coupling
+    factors from replicate_coupling; returns the stepped batch.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    one = isinstance(net, NetworkState)
-    if one:
-        x0, decay = net.x[None], replicate_coupling([p], g, dt, "imex-be")
-    else:
-        x0 = net
     # reaction and diffusion go one neuron at a time, for all replicates at
     # once: the benchmark's layer tracing counts m reaction and 2m solve
     # calls per 1D step (bench/test_bench_checks.py); only the coupling
@@ -254,7 +246,7 @@ def step_imex(net, p, g, dt, decay=None):
         f = _exact_coupling(x[:, :, k], d)
         for i in range(m):
             x[:, i, k] = diffusion_step_be(f[:, i], g, eta, dt)
-    return NetworkState(x[0], net.t + dt) if one else x
+    return x
 
 
 def step_count(cfg, t0=0.0):
@@ -262,45 +254,50 @@ def step_count(cfg, t0=0.0):
     return max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-12))
 
 
-def integrate(net0, p, g, cfg, observer=None):
-    """Advance net0 until t >= t_end with fixed steps of cfg.dt.
+def integrate(nets, params, g, cfg, observer=None):
+    """Advance a batch of states until t >= t_end with fixed steps of cfg.dt.
 
-    net0 and p are one NetworkState and its Parameters, or a batch: lists
-    of B states at one time and their Parameters, which may differ only in
-    P and Q.  A batch advances as one (B, m, 4, *cells) array, and each
-    replicate takes bitwise the trajectory it takes alone.
+    nets is a list of B NetworkStates at one time and params their
+    Parameters, which may differ only in P and Q; one network is the batch
+    of one.  The batch advances as one (B, m, 4, *cells) array, and each
+    replicate takes bitwise the trajectory it takes in a batch of one.
+    Identical inputs produce bitwise-identical trajectories.
 
     The observer, if given, is called every cfg.observe_every steps and at
-    the final step: as observer(t, state) for one state, and once for a
-    whole batch as observer(t, x, live), where x is a read-only
-    (R, m, 4, *cells) array of the R replicates still running and live
-    lists their indices in the batch.  Identical inputs produce
-    bitwise-identical trajectories.
+    the final step, once for the whole batch, as observer(t, x, live): x is
+    a read-only (R, m, 4, *cells) array of the R replicates still running
+    and live lists their indices in the batch.
 
     Blow-up is a non-finite value, checked after every step, located at
     its first offending neuron and component; or a quasi-norm above
     QUASI_NORM_CEILING, checked at observation boundaries before the
-    observer.  One state raises BlowUpError.  A batch drops the replicate
-    that blew up, with the BlowUpError its run alone raises, and the others
-    go on; it returns a list with each replicate's final NetworkState or
-    BlowUpError.
+    observer.  A replicate that blows up leaves the batch and the others go
+    on.  Returns a list with each replicate's final NetworkState or the
+    BlowUpError that ended it.
     """
-    if isinstance(net0, NetworkState):
-        watch = None if observer is None else (
-            lambda t, x, live: observer(t, NetworkState(x[0], t)))
-        (out,) = integrate([net0], [p], g, cfg, watch)
-        if isinstance(out, BlowUpError):
-            raise out
-        return out
-    p0 = p[0]
+    if not nets:
+        raise ValueError("integrate needs at least one state")
+    if len(params) != len(nets):
+        raise ValueError("%d states but %d Parameters: a batch needs one per state"
+                         % (len(nets), len(params)))
+    starts = {net.t for net in nets}
+    if len(starts) > 1:
+        raise ValueError("the states of a batch must start at one time, got t = %s"
+                         % sorted(starts))
+    p0 = params[0]
+    for q in params[1:]:
+        for name in Parameters.field_names():
+            if name not in ("P", "Q") and getattr(q, name) != getattr(p0, name):
+                raise ValueError("replicates of a batch may differ only in P and Q, "
+                                 "not in parameter %r" % name)
     check_stable(cfg, p0, g)
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
-    coupling = replicate_coupling(p, g, cfg.dt, cfg.scheme)
-    t0 = net0[0].t
+    coupling = replicate_coupling(params, g, cfg.dt, cfg.scheme)
+    t0 = nets[0].t
     n_steps = step_count(cfg, t0)
-    x = np.stack([net.x for net in net0])
-    live = list(range(len(net0)))    # the replicate in each row of x
-    out = [None] * len(net0)
+    x = np.stack([net.x for net in nets])
+    live = list(range(len(nets)))    # the replicate in each row of x
+    out = [None] * len(nets)
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
@@ -328,7 +325,7 @@ def integrate(net0, p, g, cfg, observer=None):
                 x, live = x[keep], [live[r] for r in keep]
                 if not live:
                     break
-                coupling = replicate_coupling([p[b] for b in live], g, cfg.dt, cfg.scheme)
+                coupling = replicate_coupling([params[b] for b in live], g, cfg.dt, cfg.scheme)
             if observe and observer is not None:
                 seen = x.view()
                 seen.flags.writeable = False

@@ -5,8 +5,9 @@ fields on one shared grid: membrane potential u, spiking variable v,
 bursting variable w, and memductance rho.  Only u and rho diffuse and only
 u and rho receive network coupling.  The network state is one array of
 shape (m, 4, *cells) with the components in the order (u, v, w, rho).
-A batch of B replicates, which share every parameter but the coupling
-strengths, is one array of shape (B, m, 4, *cells).
+The coupling and the full right-hand side act on a batch of B replicates,
+which share every parameter but the coupling strengths, as one array of
+shape (B, m, 4, *cells); one state is the batch of one.
 """
 
 from dataclasses import dataclass, fields
@@ -113,7 +114,7 @@ class NetworkState:
 
 
 def reaction_rhs(x, p):
-    """Pointwise reaction tendencies of a (m, 4, *cells) state, same shape.
+    """Pointwise reaction tendencies of an (n, 4, *cells) stack of neurons, same shape.
 
     Excludes diffusion and network coupling; non-finite values propagate.
     """
@@ -130,41 +131,35 @@ def reaction_rhs(x, p):
     return out
 
 
-def coupling_rhs(x, p, strengths=None):
+def coupling_rhs(x, strengths):
     """All-to-all linear coupling terms of every neuron: (u-coupling, rho-coupling).
 
-    x is one (m, 4, *cells) state, coupled with p.P and p.Q; each term then
-    has shape (m, *cells).  With strengths = (P, Q), x is a batch
-    (B, m, 4, *cells) and P, Q hold each replicate's strength, shaped to
-    broadcast over (B, m, *cells); each term then has that shape.
+    x is a batch (B, m, 4, *cells) and strengths = (P, Q) hold each
+    replicate's strength, shaped to broadcast over (B, m, *cells); each
+    term has that shape.
 
     u and rho are reduced as one block: the m x m differences of the u and
     rho fields are formed once and summed over the j axis, which adds one j
     at a time in index order for each neuron i (the j == i term is
     identically zero).  That makes the terms bitwise reproducible, the same
-    for a replicate as for its state alone, and the synchronization manifold
-    exactly invariant.
+    for a replicate whatever the rest of its batch, and the synchronization
+    manifold exactly invariant.
     """
-    if strengths is None:
-        cu, cr = coupling_rhs(x[None], p, (p.P, p.Q))
-        return cu[0], cr[0]
     P, Q = strengths
     f = x[:, :, ::3]
     c = np.sum(f[:, :, None] - f[:, None, :], axis=1, initial=0.0)
     return P * c[:, :, 0], Q * c[:, :, 1]
 
 
-def full_rhs(x, p, g, strengths=None):
-    """Complete tendency of a state, reaction + coupling + diffusion, same shape.
+def full_rhs(x, p, g, strengths):
+    """Complete tendency of a batch, reaction + coupling + diffusion, same shape.
 
-    x is one (m, 4, *cells) state, or a (B, m, 4, *cells) batch with the
-    replicates' coupling strengths as in coupling_rhs.
+    x is a (B, m, 4, *cells) batch with the replicates' coupling strengths
+    as in coupling_rhs.
     """
-    if strengths is None:
-        return full_rhs(x[None], p, g, (p.P, p.Q))[0]
     # the reaction is pointwise: replicates and neurons go as one axis
     out = reaction_rhs(x.reshape((-1,) + x.shape[2:]), p).reshape(x.shape)
-    cu, cr = coupling_rhs(x, p, strengths)
+    cu, cr = coupling_rhs(x, strengths)
     # components 0 and 3, (u, rho), are the diffused pair
     lap = laplacian_neumann(x[:, :, ::3], g)
     out[:, :, 0] = out[:, :, 0] + cu + p.eta1 * lap[:, :, 0]

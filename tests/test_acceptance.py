@@ -22,7 +22,13 @@ from mhrnet.harness import (
     generate_initial,
     run_experiment,
 )
-from mhrnet.integrator import IntegratorConfig, integrate, step_imex, step_rk4
+from mhrnet.integrator import (
+    IntegratorConfig,
+    integrate,
+    replicate_coupling,
+    step_imex,
+    step_rk4,
+)
 from mhrnet.model import (
     NetworkState,
     Parameters,
@@ -66,10 +72,11 @@ def test_criterion_2_manifold_invariance():
 
     worst = [0.0]
 
-    def observer(t, state):
-        worst[0] = max(worst[0], max(pairwise_gap(state.x, g)))
+    def observer(t, x, live):
+        worst[0] = max(worst[0], max(pairwise_gap(x, g)[0]))
 
-    integrate(net, p, g, cfg, observer)
+    (final,) = integrate([net], [p], g, cfg, observer)
+    assert isinstance(final, NetworkState)
     assert worst[0] <= 1e-12
 
 
@@ -91,7 +98,7 @@ def sync_run(tmp_path_factory):
     coupling_sums = []
 
     def conservation_observer(t, net):
-        cu, cr = coupling_rhs(net.x, p)
+        (cu,), (cr,) = coupling_rhs(net.x[None], (p.P, p.Q))
         su, sr = cu.sum(axis=0), cr.sum(axis=0)
         coupling_sums.append(max(np.max(np.abs(su)), np.max(np.abs(sr))))
 
@@ -132,6 +139,7 @@ def test_criterion_8_coupling_conservation(sync_run):
 # criterion 4: the thresholds are not vacuous (uncoupled contrast)
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_uncoupled_contrast():
     g = SYNC_GRID
     p = Parameters(P=0.0, Q=0.0, m=2)
@@ -144,10 +152,11 @@ def test_criterion_4_uncoupled_contrast():
         net = generate_initial(spec, seed)
         min_gap = [np.inf]
 
-        def observer(t, state):
-            min_gap[0] = min(min_gap[0], pairwise_gap(state.x, g)[0])
+        def observer(t, x, live):
+            min_gap[0] = min(min_gap[0], pairwise_gap(x, g)[0][0])
 
-        integrate(net, p, g, cfg, observer)
+        (final,) = integrate([net], [p], g, cfg, observer)
+        assert isinstance(final, NetworkState)
         if min_gap[0] > 1e-2:
             stayed_apart += 1
     assert stayed_apart >= 3
@@ -157,6 +166,7 @@ def test_criterion_4_uncoupled_contrast():
 # criterion 5: dissipativity envelope from large initial data
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_absorbing_envelope():
     g = Grid((64,), (1.0,))
     dc = compute_constants(Parameters(), g.measure)
@@ -178,11 +188,12 @@ def test_criterion_5_absorbing_envelope():
         net = generate_initial(spec, seed)
         times, energies = [0.0], [energy_functional(net.x, g)]
 
-        def observer(t, state):
+        def observer(t, x, live):
             times.append(t)
-            energies.append(energy_functional(state.x, g))
+            energies.append(energy_functional(x[0], g))
 
-        integrate(net, p, g, cfg, observer)
+        (final,) = integrate([net], [p], g, cfg, observer)
+        assert isinstance(final, NetworkState)
         chk = check_absorbing_envelope(np.array(times), np.array(energies), dc)
         assert chk.passed, "seed %d margin %.3g" % (seed, chk.max_margin)
     # the strongest seed must genuinely start far above the asymptote
@@ -199,8 +210,8 @@ def _smooth_net(g, m, seed, passes=3, amplitude=0.5):
     return NetworkState(smooth_field(x, g, passes), 0.0)
 
 
-def _max_diff(n1, n2):
-    return float(np.max(np.abs(n1.x - n2.x)))
+def _max_diff(x1, x2):
+    return float(np.max(np.abs(x1 - x2)))
 
 
 def test_criterion_6_discretization_orders():
@@ -216,36 +227,38 @@ def test_criterion_6_discretization_orders():
     # (b, c) time-stepping self-convergence against a fine RK4 reference
     g = Grid((32,), (1.0,))
     p = Parameters(eta1=0.01, eta2=0.01)
-    net0 = _smooth_net(g, 2, seed=3)
+    x0 = _smooth_net(g, 2, seed=3).x[None]
     t_end = 0.5
-    ref = net0.copy()
+    ref = x0
+    strengths = replicate_coupling([p], g, 5e-5, "explicit-rk4")
     for _ in range(round(t_end / 5e-5)):
-        ref = step_rk4(ref, p, g, 5e-5)
+        ref = step_rk4(ref, p, g, 5e-5, strengths)
 
-    def orders(step):
+    def orders(step, scheme):
         out = []
         for dt in (4e-3, 2e-3, 1e-3):
-            net = net0.copy()
+            x = x0
+            coupling = replicate_coupling([p], g, dt, scheme)
             for _ in range(round(t_end / dt)):
-                net = step(net, p, g, dt)
-            out.append(_max_diff(net, ref))
+                x = step(x, p, g, dt, coupling)
+            out.append(_max_diff(x, ref))
         return [np.log2(a / b) for a, b in zip(out, out[1:])]
 
-    assert min(orders(step_rk4)) >= 3.8
-    assert min(orders(step_imex)) >= 0.9
+    assert min(orders(step_rk4, "explicit-rk4")) >= 3.8
+    assert min(orders(step_imex, "imex-be")) >= 0.9
 
     # (d) analytic relaxation: u = 0 invariant when w = v + Je and
     # ue = -(alpha + Je)/q, giving v(t) = alpha + (v0 - alpha) e^{-t}
     p = Parameters(r=1.0, ue=-2.0, P=0.0, Q=0.0)
     v0 = 0.25
-    x = np.zeros((2, 4) + g.shape)
-    x[:, 1] = v0
-    x[:, 2] = v0 + p.Je
-    net = NetworkState(x, 0.0)
+    x = np.zeros((1, 2, 4) + g.shape)
+    x[:, :, 1] = v0
+    x[:, :, 2] = v0 + p.Je
+    strengths = replicate_coupling([p], g, 1e-3, "explicit-rk4")
     for _ in range(1000):
-        net = step_rk4(net, p, g, 1e-3)
+        x = step_rk4(x, p, g, 1e-3, strengths)
     exact = p.alpha + (v0 - p.alpha) * np.exp(-1.0)
-    assert np.max(np.abs(net.x[0, 1] - exact)) <= 1e-10
+    assert np.max(np.abs(x[0, 0, 1] - exact)) <= 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +288,10 @@ def test_criterion_7_determinism_and_equivariance(tmp_path):
     pnet = NetworkState(net.x[perm], 0.0)
 
     samples, psamples = [], []
-    integrate(net.copy(), p, g, cfg, lambda t, s: samples.append(s.copy()))
-    integrate(pnet, p, g, cfg, lambda t, s: psamples.append(s.copy()))
+    for start, seen in ((net, samples), (pnet, psamples)):
+        (final,) = integrate([start], [p], g, cfg, lambda t, x, live: seen.append(x[0].copy()))
+        assert isinstance(final, NetworkState)
     assert len(samples) == len(psamples)
     for s, ps in zip(samples, psamples):
         for new_i, old_i in enumerate(perm):
-            assert np.max(np.abs(ps.x[new_i] - s.x[old_i])) <= 1e-13
+            assert np.max(np.abs(ps[new_i] - s[old_i])) <= 1e-13

@@ -118,27 +118,27 @@ class TestPairwiseGap:
         # u differs by 2, rho by 1 on a unit domain: gap = 4 + 1 = 5
         g = Grid((32,), (1.0,))
         x = make_state(g, [(0, 0, 0, 0), (2, 0, 0, 1)])
-        assert pairwise_gap(x, g) == [pytest.approx(5.0)]
+        assert pairwise_gap(x[None], g) == [[pytest.approx(5.0)]]
 
     def test_symmetry_and_zero(self):
         g = Grid((32,), (1.0,))
         x = make_state(g, [(0.3, 1, -1, 0.5), (0.1, 0, 2, 0.5), (0.3, 1, -1, 0.5)])
-        gaps = pairwise_gap(x, g)
+        (gaps,) = pairwise_gap(x[None], g)
         assert len(gaps) == 3 and gaps[0] > 0.0
         # swapping neurons 0 and 1 keeps their gap
-        assert pairwise_gap(x[[1, 0, 2]], g)[0] == gaps[0]
+        assert pairwise_gap(x[None, [1, 0, 2]], g)[0][0] == gaps[0]
         assert gap_of(gaps, 3, 0, 2) == 0.0
 
     def test_fewer_than_two_neurons_rejected(self):
         g = Grid((32,), (1.0,))
         for values in ([(0, 0, 0, 0)], np.zeros((0, 4))):
             with pytest.raises(ValueError, match="two neurons"):
-                pairwise_gap(make_state(g, values), g)
+                pairwise_gap(make_state(g, values)[None], g)
 
     def test_per_pair_formula(self):
         g = Grid((8, 6), (1.0, 2.0))
         x = np.random.default_rng(3).normal(size=(5, 4) + g.shape)
-        gaps = pairwise_gap(x, g)
+        (gaps,) = pairwise_gap(x[None], g)
         for i in range(5):
             for j in range(i + 1, 5):
                 want = math.fsum(np.sum(d * d) * g.cell_volume for d in x[i] - x[j])
@@ -148,29 +148,29 @@ class TestPairwiseGap:
     @pytest.mark.parametrize("m", [2, 5, 17])
     def test_batch_equals_per_state(self, cells, m):
         # a (B, m, 4, *cells) batch gives one list per replicate, bitwise
-        # the list of that replicate's state alone
+        # the list of that replicate's batch of one
         g = Grid(cells, (1.5,) * len(cells))
         rng = np.random.default_rng(5)
         x = rng.uniform(-2.0, 2.0, size=(3, m, 4) + cells) * rng.uniform(0.01, 100.0, (3,) + (1,) * (2 + len(cells)))
         gaps = pairwise_gap(x, g)
         assert len(gaps) == 3
         for b in range(3):
-            assert gaps[b] == pairwise_gap(x[b], g)
+            assert [gaps[b]] == pairwise_gap(x[b:b + 1], g)
         assert pairwise_gap(x[1:2], g) == [gaps[1]]
 
     def test_wrong_rank_rejected(self):
         g = Grid((8,), (1.0,))
-        for shape in ((4, 8), (1, 2, 2, 4, 8)):
-            with pytest.raises(ValueError, match="expected a state"):
+        for shape in ((4, 8), (2, 4, 8), (1, 2, 2, 4, 8)):
+            with pytest.raises(ValueError, match="expected a batch"):
                 pairwise_gap(np.zeros(shape), g)
 
     def test_grid_mismatch_rejected(self):
         g = Grid((32,), (1.0,))
         x = make_state(Grid((16,), (1.0,)), [(0, 0, 0, 0), (1, 0, 0, 0)])
         with pytest.raises(InvalidFieldError):
-            pairwise_gap(x, g)
+            pairwise_gap(x[None], g)
         with pytest.raises(InvalidFieldError):
-            pairwise_gap(np.zeros((2, 4, 8, 4)), Grid((8, 6), (1.0, 1.0)))
+            pairwise_gap(np.zeros((1, 2, 4, 8, 4)), Grid((8, 6), (1.0, 1.0)))
 
     @pytest.mark.parametrize("cells", [(64,), (8, 6), (2,), (2, 2), (2, 5)])
     def test_bitwise_equals_sum_formula(self, cells):
@@ -179,7 +179,7 @@ class TestPairwiseGap:
         g = Grid(cells, (1.5,) * len(cells))
         for m in (2, 3, 17):
             x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(m, 4) + cells)
-            gaps = pairwise_gap(x, g)
+            (gaps,) = pairwise_gap(x[None], g)
             assert len(gaps) == m * (m - 1) // 2
             if m <= MAX_PAIR_COLUMNS_M:
                 columns = [c for c in _header(m) if c.startswith("gap_")]
@@ -192,49 +192,49 @@ class TestPairwiseGap:
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 20.0, 200)
-        fit = fit_decay_rate(t, np.exp(-0.5 * t))
+        (fit,) = fit_decay_rate(t, np.exp(-0.5 * t)[:, None])
         assert fit.decayed
         assert abs(fit.rate - 0.5) <= 1e-6
         assert fit.residual <= 1e-8
 
     def test_prefactor_invariance(self):
         t = np.linspace(0.0, 20.0, 200)
-        a = fit_decay_rate(t, np.exp(-0.5 * t))
-        b = fit_decay_rate(t, 137.0 * np.exp(-0.5 * t))
+        (a,) = fit_decay_rate(t, np.exp(-0.5 * t)[:, None])
+        (b,) = fit_decay_rate(t, 137.0 * np.exp(-0.5 * t)[:, None])
         assert a.rate == pytest.approx(b.rate)
 
     def test_transient_is_discarded(self):
         # flat for the first third, then clean decay
         t = np.linspace(0.0, 30.0, 300)
         gaps = np.where(t < 10.0, 1.0, np.exp(-0.8 * (t - 10.0)))
-        fit = fit_decay_rate(t, gaps)
+        (fit,) = fit_decay_rate(t, gaps[:, None])
         assert abs(fit.rate - 0.8) / 0.8 <= 0.05
 
     def test_floor_truncates_window(self):
         t = np.linspace(0.0, 40.0, 400)
         gaps = np.maximum(np.exp(-3.0 * t), 1e-30)
-        fit = fit_decay_rate(t, gaps, floor=1e-20)
+        (fit,) = fit_decay_rate(t, gaps[:, None], floor=1e-20)
         assert fit.window[1] < 40.0
         assert abs(fit.rate - 3.0) / 3.0 <= 0.05
 
     def test_growth_reports_rate_zero(self):
         t = np.linspace(0.0, 10.0, 100)
-        fit = fit_decay_rate(t, np.exp(0.2 * t))
+        (fit,) = fit_decay_rate(t, np.exp(0.2 * t)[:, None])
         assert fit.rate == 0.0 and not fit.decayed
 
     def test_window_errors(self):
         t = np.linspace(0.0, 1.0, 30)
-        with pytest.raises(FitWindowError):
-            fit_decay_rate(t, np.exp(-t))
+        (err,) = fit_decay_rate(t, np.exp(-t)[:, None])
+        assert isinstance(err, FitWindowError)
         t = np.linspace(0.0, 40.0, 100)
-        with pytest.raises(FitWindowError):
-            # nearly everything is below floor after the transient
-            fit_decay_rate(t, np.maximum(np.exp(-10.0 * t), 1e-40), floor=1e-3)
+        # nearly everything is below floor after the transient
+        (err,) = fit_decay_rate(t, np.maximum(np.exp(-10.0 * t), 1e-40)[:, None], floor=1e-3)
+        assert isinstance(err, FitWindowError)
 
     def test_columns_match_one_column_fits(self, monkeypatch):
         # every column of a (samples, k) fit gives the window, n_samples,
-        # decayed flag and failure note of its own 1-d fit, and a rate and
-        # residual within round-off of it
+        # decayed flag and failure note of its own one-column fit, and a
+        # rate and residual within round-off of it
         # noisy series, so that each residual is far above round-off
         t = np.linspace(0.0, 20.0, 101)
         noise = np.random.default_rng(6).normal(scale=0.05, size=(5, 101))
@@ -255,12 +255,7 @@ class TestFitDecayRate:
 
         monkeypatch.setattr(analysis.np, "polyfit", polyfit)
         for n in (101, 30):
-            alone = []
-            for col in cols:
-                try:
-                    alone.append(fit_decay_rate(t[:n], col[:n]))
-                except FitWindowError as err:
-                    alone.append(err)
+            alone = [fit_decay_rate(t[:n], col[:n, None])[0] for col in cols]
             calls.clear()
             together = fit_decay_rate(t[:n], np.column_stack(cols)[:n])
             assert len(together) == len(cols)
@@ -287,15 +282,20 @@ class TestFitDecayRate:
 
     def test_identically_zero_series(self):
         t = np.linspace(0.0, 10.0, 100)
-        with pytest.raises(FitWindowError, match="gap identically zero"):
-            fit_decay_rate(t, np.zeros_like(t))
+        (err,) = fit_decay_rate(t, np.zeros((t.size, 1)))
+        assert isinstance(err, FitWindowError) and str(err) == "gap identically zero"
 
     def test_rejects_nonpositive_gaps(self):
         t = np.linspace(0.0, 10.0, 100)
         gaps = np.exp(-t)
         gaps[50] = 0.0
         with pytest.raises(ValueError):
-            fit_decay_rate(t, gaps)
+            fit_decay_rate(t, gaps[:, None])
+
+    def test_rejects_one_series_without_column_axis(self):
+        t = np.linspace(0.0, 10.0, 100)
+        with pytest.raises(ValueError, match="gaps \\(samples, k\\)"):
+            fit_decay_rate(t, np.exp(-t))
 
 
 class TestAsyncDegree:

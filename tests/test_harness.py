@@ -167,7 +167,7 @@ def test_batch_sample_rows_equal_rows_sampled_alone(cells, B, m):
         for u, v, w, rho in xb:
             want += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
         want.append(energy_functional(xb, g, c1[b]))
-        gaps = pairwise_gap(xb, g)
+        (gaps,) = pairwise_gap(xb[None], g)
         want += gaps if m <= MAX_PAIR_COLUMNS_M else [max(gaps), sum(gaps) / len(gaps)]
         assert rows[b].tobytes() == np.array(want).tobytes()
 

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
+from mhrnet.analysis import pairwise_gap
 from mhrnet.grid import Grid, smooth_field
 from mhrnet.integrator import (
     BlowUpError,
@@ -11,11 +14,12 @@ from mhrnet.integrator import (
     check_stable,
     diffusion_step_be,
     integrate,
+    replicate_coupling,
     stability_limit,
     step_imex,
     step_rk4,
 )
-from mhrnet.model import NetworkState, Parameters
+from mhrnet.model import NetworkState, Parameters, coupling_rhs, full_rhs
 
 
 def unit_grid(n=32):
@@ -34,8 +38,18 @@ def smooth_random_net(g, m, seed, passes=3, amplitude=0.5):
     return NetworkState(smooth_field(x, g, passes), 0.0)
 
 
-def max_diff(n1, n2):
-    return float(np.max(np.abs(n1.x - n2.x)))
+def max_diff(x1, x2):
+    return float(np.max(np.abs(x1 - x2)))
+
+
+def rk4(x, p, g, dt):
+    """step_rk4 on a batch x whose replicates all have the strengths of p."""
+    return step_rk4(x, p, g, dt, replicate_coupling([p] * len(x), g, dt, "explicit-rk4"))
+
+
+def imex(x, p, g, dt):
+    """step_imex on a batch x whose replicates all have the strengths of p."""
+    return step_imex(x, p, g, dt, replicate_coupling([p] * len(x), g, dt, "imex-be"))
 
 
 class TestConfig:
@@ -79,9 +93,9 @@ class TestRk4:
         ustar = brentq(lambda u: -2 * u ** 3 - u ** 2 - 2 * u + 3, 0.0, 2.0)
         g = unit_grid()
         p = Parameters()
-        net = const_net(g, 2, u=ustar, v=1 - ustar ** 2, w=ustar - 1, rho=ustar)
-        out = step_rk4(net, p, g, 1e-4)
-        assert max_diff(net, out) < 1e-12
+        x = const_net(g, 2, u=ustar, v=1 - ustar ** 2, w=ustar - 1, rho=ustar).x[None]
+        out = rk4(x, p, g, 1e-4)
+        assert max_diff(x, out) < 1e-12
 
     def test_linear_relaxation_analytic(self):
         # u = 0 stays invariant when w = v + Je and ue = -(alpha + Je)/q;
@@ -89,25 +103,25 @@ class TestRk4:
         p = Parameters(r=1.0, ue=-2.0, P=0.0, Q=0.0)
         g = unit_grid()
         v0 = 0.25
-        net = const_net(g, 2, u=0.0, v=v0, w=v0 + p.Je, rho=0.0)
+        x = const_net(g, 2, u=0.0, v=v0, w=v0 + p.Je, rho=0.0).x[None]
         dt = 1e-3
         for _ in range(1000):
-            net = step_rk4(net, p, g, dt)
+            x = rk4(x, p, g, dt)
         exact = p.alpha + (v0 - p.alpha) * np.exp(-1.0)
-        assert np.max(np.abs(net.x[0, 1] - exact)) <= 1e-10
-        assert np.max(np.abs(net.x[0, 0])) <= 1e-12
+        assert np.max(np.abs(x[0, 0, 1] - exact)) <= 1e-10
+        assert np.max(np.abs(x[0, 0, 0])) <= 1e-12
 
     def test_convergence_order(self):
         g = unit_grid(32)
         p = Parameters(eta1=0.01, eta2=0.01)
-        net0 = smooth_random_net(g, 2, seed=3)
+        x0 = smooth_random_net(g, 2, seed=3).x[None]
         t_end = 0.5
 
         def advance(dt):
-            net = net0.copy()
+            x = x0
             for _ in range(round(t_end / dt)):
-                net = step_rk4(net, p, g, dt)
-            return net
+                x = rk4(x, p, g, dt)
+            return x
 
         ref = advance(5e-5)
         errs = [max_diff(advance(dt), ref) for dt in (4e-3, 2e-3, 1e-3)]
@@ -117,7 +131,7 @@ class TestRk4:
     def test_rejects_nonpositive_dt(self):
         g = unit_grid()
         with pytest.raises(ValueError):
-            step_rk4(const_net(g, 2), Parameters(), g, 0.0)
+            rk4(const_net(g, 2).x[None], Parameters(), g, 0.0)
 
 
 class TestImplicitDiffusion:
@@ -253,18 +267,18 @@ class TestImex:
     def test_first_order_accuracy(self):
         g = unit_grid(32)
         p = Parameters(eta1=0.01, eta2=0.01)
-        net0 = smooth_random_net(g, 2, seed=3)
+        x0 = smooth_random_net(g, 2, seed=3).x[None]
         t_end = 0.5
 
         def advance(dt):
-            net = net0.copy()
+            x = x0
             for _ in range(round(t_end / dt)):
-                net = step_imex(net, p, g, dt)
-            return net
+                x = imex(x, p, g, dt)
+            return x
 
-        ref = net0.copy()
+        ref = x0
         for _ in range(round(t_end / 5e-5)):
-            ref = step_rk4(ref, p, g, 5e-5)
+            ref = rk4(ref, p, g, 5e-5)
         errs = [max_diff(advance(dt), ref) for dt in (4e-3, 2e-3, 1e-3)]
         orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 0.9
@@ -274,22 +288,22 @@ class TestImex:
         # not destabilize the integrating-factor substep
         g = unit_grid(32)
         p = Parameters(P=1e6, Q=1e15)
-        net = smooth_random_net(g, 3, seed=4)
+        x = smooth_random_net(g, 3, seed=4).x[None]
         dt = 1e-3
         for _ in range(50):
-            net = step_imex(net, p, g, dt)
-        assert net.first_nonfinite() is None
-        assert np.max(np.abs(net.x[:, 0])) < 1e3
+            x = imex(x, p, g, dt)
+        assert np.isfinite(x).all()
+        assert np.max(np.abs(x[0, :, 0])) < 1e3
 
     def test_coupling_preserves_neuron_mean(self):
         g = unit_grid(32)
         p0 = Parameters(P=0.0, Q=0.0, m=3)
         p1 = Parameters(P=7.0, Q=3.0, m=3)
-        net = smooth_random_net(g, 3, seed=5)
-        a = step_imex(net.copy(), p0, g, 1e-3)
-        b = step_imex(net.copy(), p1, g, 1e-3)
-        mean_a = a.x[:, 0].sum(axis=0) / 3.0
-        mean_b = b.x[:, 0].sum(axis=0) / 3.0
+        x = smooth_random_net(g, 3, seed=5).x[None]
+        a = imex(x, p0, g, 1e-3)
+        b = imex(x, p1, g, 1e-3)
+        mean_a = a[0, :, 0].sum(axis=0) / 3.0
+        mean_b = b[0, :, 0].sum(axis=0) / 3.0
         assert np.max(np.abs(mean_a - mean_b)) < 1e-13
 
 
@@ -299,7 +313,8 @@ class TestIntegrate:
         p = Parameters()
         cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=1.0, observe_every=10)
         times = []
-        net = integrate(const_net(g, 2), p, g, cfg, observer=lambda t, s: times.append(t))
+        (net,) = integrate([const_net(g, 2)], [p], g, cfg,
+                           observer=lambda t, x, live: times.append(t))
         assert net.t == pytest.approx(1.0)
         assert len(times) == 10
         assert times[-1] == pytest.approx(1.0)
@@ -308,9 +323,9 @@ class TestIntegrate:
         g = unit_grid(32)
         p = Parameters(P=2.0, Q=2.0)
         cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=0.2)
-        a = integrate(smooth_random_net(g, 2, seed=6), p, g, cfg)
-        b = integrate(smooth_random_net(g, 2, seed=6), p, g, cfg)
-        assert max_diff(a, b) == 0.0
+        (a,) = integrate([smooth_random_net(g, 2, seed=6)], [p], g, cfg)
+        (b,) = integrate([smooth_random_net(g, 2, seed=6)], [p], g, cfg)
+        assert max_diff(a.x, b.x) == 0.0
 
     def test_identical_neurons_stay_identical(self):
         g = unit_grid(32)
@@ -318,7 +333,7 @@ class TestIntegrate:
         net0 = smooth_random_net(g, 1, seed=7)
         net0 = NetworkState(np.concatenate([net0.x, net0.x]), 0.0)
         cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=10.0)
-        out = integrate(net0, p, g, cfg)
+        (out,) = integrate([net0], [p], g, cfg)
         assert np.array_equal(out.x[0], out.x[1])
 
     def test_stability_guard_rejects_large_dt(self):
@@ -326,7 +341,7 @@ class TestIntegrate:
         p = Parameters()
         cfg = IntegratorConfig(scheme="explicit-rk4", dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
-            integrate(const_net(g, 2), p, g, cfg)
+            integrate([const_net(g, 2)], [p], g, cfg)
 
     def test_stability_guard_boundary(self):
         g = unit_grid(64)
@@ -334,10 +349,10 @@ class TestIntegrate:
         edge = 0.9 * stability_limit(g, p)
         over = IntegratorConfig(scheme="explicit-rk4", dt=edge * (1 + 1e-9), t_end=edge)
         with pytest.raises(ValueError, match="stability_limit"):
-            integrate(const_net(g, 2), p, g, over)
+            integrate([const_net(g, 2)], [p], g, over)
         dt = edge * (1 - 1e-9)
         under = IntegratorConfig(scheme="explicit-rk4", dt=dt, t_end=dt)
-        assert integrate(const_net(g, 2), p, g, under).t == dt
+        assert integrate([const_net(g, 2)], [p], g, under)[0].t == dt
 
     @pytest.mark.parametrize("eta", ["eta1", "eta2"])
     def test_singular_implicit_solve_rejected(self, eta):
@@ -362,9 +377,9 @@ class TestIntegrate:
                                observe_every=10, enforce_stability=False)
         net = const_net(g, 2)
         net.x[0, 0] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
-        with pytest.raises(BlowUpError) as info:
-            integrate(net, p, g, cfg)
-        assert info.value.t > 0.0
+        (err,) = integrate([net], [p], g, cfg)
+        assert isinstance(err, BlowUpError)
+        assert err.t > 0.0
 
     def test_blow_up_located_at_step(self):
         # the first non-finite state is reported at its own step, not at
@@ -376,13 +391,13 @@ class TestIntegrate:
         first = net
         with np.errstate(over="ignore", invalid="ignore"):
             while first.first_nonfinite() is None:
-                first = step_imex(first, p, g, 1.0)
+                first = NetworkState(imex(first.x[None], p, g, 1.0)[0], first.t + 1.0)
         cfg = IntegratorConfig(scheme="imex-be", dt=1.0, t_end=200.0, observe_every=100)
-        with pytest.raises(BlowUpError) as info:
-            integrate(net, p, g, cfg)
-        assert 0.0 < info.value.t == first.t < 100.0
-        assert (info.value.neuron, info.value.component) == first.first_nonfinite()
-        assert str(info.value) == "blow-up detected at t=%.6g (neuron %d, component %s)" % (
+        (err,) = integrate([net], [p], g, cfg)
+        assert isinstance(err, BlowUpError)
+        assert 0.0 < err.t == first.t < 100.0
+        assert (err.neuron, err.component) == first.first_nonfinite()
+        assert str(err) == "blow-up detected at t=%.6g (neuron %d, component %s)" % (
             first.t, *first.first_nonfinite())
 
     def test_batch_matches_solo_runs(self):
@@ -408,11 +423,11 @@ class TestIntegrate:
         out = integrate([n.copy() for n in nets], ps, g, cfg, observer)
         for b, (net, p) in enumerate(zip(nets, ps)):
             alone = []
-            try:
-                final = integrate(net, p, g, cfg, lambda t, s: alone.append((t, s.x.copy())))
-            except BlowUpError as err:
+            (final,) = integrate([net], [p], g, cfg,
+                                 lambda t, x, live: alone.append((t, x[0].copy())))
+            if isinstance(final, BlowUpError):
                 assert isinstance(out[b], BlowUpError)
-                assert (str(out[b]), out[b].step) == (str(err), err.step)
+                assert (str(out[b]), out[b].step) == (str(final), final.step)
                 assert out[b].step == {0: 7, 2: 8}[b]
             else:
                 assert out[b].t == final.t and np.array_equal(out[b].x, final.x)
@@ -420,3 +435,73 @@ class TestIntegrate:
             for (t, x), (t_alone, x_alone) in zip(seen[b], alone):
                 assert t == t_alone and np.array_equal(x, x_alone)
         assert [isinstance(o, BlowUpError) for o in out] == [True, False, True, False]
+
+    def test_empty_batch_rejected(self):
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="at least one state"):
+            integrate([], [], unit_grid(), cfg)
+
+    @pytest.mark.parametrize("n_states, n_params", [(3, 1), (2, 3)])
+    def test_params_length_mismatch_rejected(self, n_states, n_params):
+        g = unit_grid()
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="%d states but %d Parameters" % (n_states, n_params)):
+            integrate([const_net(g, 2)] * n_states, [Parameters()] * n_params, g, cfg)
+
+    def test_states_at_different_times_rejected(self):
+        g = unit_grid()
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
+        late = NetworkState(const_net(g, 2).x, 0.05)
+        with pytest.raises(ValueError, match="one time"):
+            integrate([const_net(g, 2), late], [Parameters()] * 2, g, cfg)
+
+    @pytest.mark.parametrize("name", [n for n in Parameters.field_names() if n not in ("P", "Q")])
+    def test_params_differing_beyond_strengths_rejected(self, name):
+        # every replicate is stepped with the constants of the first, so a
+        # batch whose Parameters differ in anything but P and Q is refused
+        g = unit_grid()
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
+        p = Parameters()
+        other = dataclasses.replace(p, **{name: 3 if name == "m" else 2.0 * getattr(p, name) + 0.5})
+        with pytest.raises(ValueError, match="not in parameter '%s'" % name):
+            integrate([const_net(g, 2)] * 2, [p, other], g, cfg)
+
+    def test_params_differing_in_strengths_accepted(self):
+        g = unit_grid()
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
+        ps = [Parameters(P=0.0, Q=3.0), Parameters(P=2.0, Q=0.0)]
+        out = integrate([smooth_random_net(g, 2, seed=1)] * 2, ps, g, cfg)
+        assert [o.t for o in out] == [pytest.approx(0.1)] * 2
+
+
+BATCH_DT = 1e-3
+
+# each numerical-core function on a batch x of replicates with Parameters ps,
+# as one array with the replicates on its first axis
+BATCH_FORMS = {
+    "step_rk4": lambda x, ps, g: step_rk4(
+        x, ps[0], g, BATCH_DT, replicate_coupling(ps, g, BATCH_DT, "explicit-rk4")),
+    "step_imex": lambda x, ps, g: step_imex(
+        x, ps[0], g, BATCH_DT, replicate_coupling(ps, g, BATCH_DT, "imex-be")),
+    "full_rhs": lambda x, ps, g: full_rhs(
+        x, ps[0], g, replicate_coupling(ps, g, BATCH_DT, "explicit-rk4")),
+    "coupling_rhs": lambda x, ps, g: np.stack(
+        coupling_rhs(x, replicate_coupling(ps, g, BATCH_DT, "explicit-rk4")), axis=1),
+    "pairwise_gap": lambda x, ps, g: np.array(pairwise_gap(x, g)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(BATCH_FORMS))
+@pytest.mark.parametrize("cells", [(16,), (6, 5)])
+def test_replicate_row_equals_batch_of_one(form, cells):
+    # three replicates with distinct (P, Q), one of them P = 0 and one
+    # Q = 0: each replicate's row is bitwise that of its batch of one
+    g = Grid(cells, (1.0,) * len(cells))
+    ps = [Parameters(P=P, Q=Q, m=3) for P, Q in ((0.0, 2.0), (1.5, 0.0), (3.0, 0.7))]
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 3, 4) + cells)
+    fn = BATCH_FORMS[form]
+    out = fn(x, ps, g)
+    assert len(out) == 3
+    for b in range(3):
+        alone = fn(x[b:b + 1], ps[b:b + 1], g)
+        assert np.array_equal(out[b:b + 1].view(np.int64), alone.view(np.int64))

@@ -161,7 +161,7 @@ class TestCoupling:
     def test_identical_neurons_zero(self):
         g = unit_grid()
         p = Parameters(P=3.0, Q=2.0)
-        cu, cr = coupling_rhs(const_state(g, 3, u=0.4, rho=-0.2), p)
+        (cu,), (cr,) = coupling_rhs(const_state(g, 3, u=0.4, rho=-0.2)[None], (p.P, p.Q))
         assert np.all(cu == 0.0) and np.all(cr == 0.0)
 
     def test_two_neuron_oracle(self):
@@ -170,7 +170,7 @@ class TestCoupling:
         p = Parameters(P=2.0, m=2)
         x = const_state(g, 2)
         x[1, 0] = 1.0
-        cu, _ = coupling_rhs(x, p)
+        (cu,), _ = coupling_rhs(x[None], (p.P, p.Q))
         assert np.allclose(cu[0], 2.0)
 
     def test_permutation_symmetry(self):
@@ -178,8 +178,8 @@ class TestCoupling:
         p = Parameters(P=1.5, Q=0.5, m=3)
         net = random_net(g, 3, seed=5)
         perm = [2, 0, 1]
-        cu_p, cr_p = coupling_rhs(net.x[perm], p)
-        cu, cr = coupling_rhs(net.x, p)
+        (cu_p,), (cr_p,) = coupling_rhs(net.x[perm][None], (p.P, p.Q))
+        (cu,), (cr,) = coupling_rhs(net.x[None], (p.P, p.Q))
         for new_i, old_i in enumerate(perm):
             assert np.allclose(cu_p[new_i], cu[old_i], atol=1e-14)
             assert np.allclose(cr_p[new_i], cr[old_i], atol=1e-14)
@@ -188,7 +188,7 @@ class TestCoupling:
         g = unit_grid()
         p = Parameters(P=2.0, Q=3.0, m=4)
         net = random_net(g, 4, seed=6)
-        cu, cr = coupling_rhs(net.x, p)
+        (cu,), (cr,) = coupling_rhs(net.x[None], (p.P, p.Q))
         su, sr = cu.sum(axis=0), cr.sum(axis=0)
         assert np.max(np.abs(su)) < 1e-13
         assert np.max(np.abs(sr)) < 1e-13
@@ -200,7 +200,7 @@ class TestCoupling:
         g = Grid(cells, (1.0,) * len(cells))
         p = Parameters(P=1.7, Q=0.3, m=m)
         x = random_net(g, m, seed=m).x
-        for k, strength, got in zip((0, 3), (p.P, p.Q), coupling_rhs(x, p)):
+        for k, strength, (got,) in zip((0, 3), (p.P, p.Q), coupling_rhs(x[None], (p.P, p.Q))):
             expected = loop_coupling(x[:, k], strength)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -215,14 +215,15 @@ class TestFullRhs:
         for k, strength, eta in ((0, p.P, p.eta1), (3, p.Q, p.eta2)):
             expected[:, k] = (expected[:, k] + loop_coupling(x[:, k], strength)
                               + eta * laplacian_neumann(x[:, k], g))
-        assert np.array_equal(full_rhs(x, p, g).view(np.int64), expected.view(np.int64))
+        assert np.array_equal(full_rhs(x[None], p, g, (p.P, p.Q))[0].view(np.int64),
+                              expected.view(np.int64))
 
     def test_manifold_invariance_bitwise(self):
         g = unit_grid()
         p = Parameters(P=4.0, Q=2.0, m=3)
         rng = np.random.default_rng(7)
         x = np.stack([rng.normal(size=(4,) + g.shape)] * 3)
-        out = full_rhs(x, p, g)
+        out = full_rhs(x[None], p, g, (p.P, p.Q))[0]
         for other in out[1:]:
             assert np.array_equal(out[0], other)
 
@@ -231,8 +232,8 @@ class TestFullRhs:
         p = Parameters(P=1.0, Q=2.0, m=3)
         net = random_net(g, 3, seed=8)
         perm = [1, 2, 0]
-        out = full_rhs(net.x, p, g)
-        pout = full_rhs(net.x[perm], p, g)
+        out = full_rhs(net.x[None], p, g, (p.P, p.Q))[0]
+        pout = full_rhs(net.x[perm][None], p, g, (p.P, p.Q))[0]
         for new_i, old_i in enumerate(perm):
             assert np.allclose(pout[new_i], out[old_i], atol=1e-13)
 
@@ -240,7 +241,7 @@ class TestFullRhs:
         g = unit_grid()
         p = Parameters(P=2.0, Q=2.0)
         x = const_state(g, 2, u=0.3, v=-0.1, w=0.2, rho=0.5)
-        out = full_rhs(x, p, g)
+        out = full_rhs(x[None], p, g, (p.P, p.Q))[0]
         du, dv, dw, drho = reaction_rhs(x[:1], p)[0]
         assert np.allclose(out[0, 0], du)
         assert np.allclose(out[0, 1], dv)
@@ -251,7 +252,7 @@ class TestFullRhs:
         g = unit_grid()
         p = Parameters(eta1=1e-12, eta2=1e-12, P=1e-300, Q=1e-300)
         net = random_net(g, 2, seed=9)
-        out = full_rhs(net.x, p, g)
+        out = full_rhs(net.x[None], p, g, (p.P, p.Q))[0]
         du, _, _, drho = reaction_rhs(net.x, p)[0]
         scale = np.max(np.abs(net.x[0, 0])) / min(g.spacing) ** 2
         assert np.max(np.abs(out[0, 0] - du)) < 1e-6 * scale
@@ -265,7 +266,7 @@ class TestFullRhs:
         u = np.cos(np.pi * x)
         x = const_state(g, 2)
         x[:, 0] = u
-        out = full_rhs(x, p, g)
+        out = full_rhs(x[None], p, g, (p.P, p.Q))[0]
         reaction = p.a * u ** 2 - p.b * u ** 3 + p.Je - p.k1 * p.c * u
         diffusion = out[0, 0] - reaction
         h = g.spacing[0]
