@@ -466,13 +466,6 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="not in parameter '%s'" % name):
             integrate([const_net(g, 2)] * 2, [p, other], g, cfg)
 
-    def test_params_differing_in_strengths_accepted(self):
-        g = unit_grid()
-        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
-        ps = [Parameters(P=0.0, Q=3.0), Parameters(P=2.0, Q=0.0)]
-        out = integrate([smooth_random_net(g, 2, seed=1)] * 2, ps, g, cfg)
-        assert [o.t for o in out] == [pytest.approx(0.1)] * 2
-
 
 BATCH_DT = 1e-3
 
