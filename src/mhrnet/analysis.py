@@ -8,7 +8,7 @@ the coupling strengths exceed (Pmin, Qmin).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,12 +57,7 @@ class DerivedConstants:
         return max(self.C1, 1.0) / min(self.C1, 1.0)
 
     def as_dict(self):
-        d = {k: getattr(self, k) for k in (
-            "C1", "C2", "lam", "M", "K", "Cmult", "Pmin", "Qmin",
-            "xi", "kappa", "cstar", "omega_measure",
-        )}
-        d["envelope_asymptote"] = self.envelope_asymptote
-        return d
+        return dict(asdict(self), envelope_asymptote=self.envelope_asymptote)
 
 
 def compute_constants(p, omega_measure, cstar=1.0):
@@ -117,7 +112,12 @@ def compute_constants(p, omega_measure, cstar=1.0):
 
 
 def pairwise_gap(x, g):
-    """Squared E-norm gaps ||u_i-u_j||^2 + ... + ||rho_i-rho_j||^2 of all pairs i < j.
+    """Squared distances of all neuron pairs i < j.
+
+    Each gap is ||u_i-u_j||^2 + ||v_i-v_j||^2 + ||w_i-w_j||^2 +
+    ||rho_i-rho_j||^2, every norm L2, rho's too.  It is the squared
+    distance, not the distance, so a rate fitted to it (fit_decay_rate) is
+    twice the decay rate of the distance.
 
     x is a (B, m, 4, *cells) batch, which gives one list per replicate in
     the order (0, 1), (0, 2), ..., (1, 2), ....  Neuron i is subtracted
@@ -153,28 +153,29 @@ def fit_decay_rate(times, gaps, floor=1e-20, transient_fraction=0.3):
 
     gaps has shape (samples, k), one row per time, and the result is a
     list of k, each the FitResult or the FitWindowError of that column.
-    Each fit discards the leading transient_fraction of samples (a
-    stand-in for the finite settling time of the estimates) and everything
-    from the first sample below `floor` on (squared norms bottom out near
-    round-off).  A nondecaying series is reported as rate 0 with
-    decayed=False rather than as an error; an identically zero series, or
-    too few samples, gives a FitWindowError.  Any other series must be
-    positive.  The columns that share a window are fitted together in one
-    least-squares solve, which can round a column's rate and residual in
-    the last bits differently from a solve of that column alone.
+    A pairwise_gap column is a squared distance, so its rate is twice the
+    decay rate of the distance.  Each fit discards the leading
+    transient_fraction of samples (a stand-in for the finite settling time
+    of the estimates) and everything from the first sample below `floor`
+    or equal to zero on (squared norms bottom out near round-off).  A
+    negative sample raises ValueError.  A nondecaying series is reported
+    as rate 0 with decayed=False rather than as an error; an identically
+    zero series, or too few samples, gives a FitWindowError.  Each
+    column's line is fitted in closed form over its own contiguous row, so
+    its rate and residual are bitwise those of its one-column fit.
     """
     times = np.asarray(times, dtype=float)
     cols = np.asarray(gaps, dtype=float)
     if times.ndim != 1 or cols.ndim != 2 or len(cols) != times.size:
         raise ValueError("times must be a 1-d array and gaps (samples, k), one row per time")
+    if np.any(cols < 0):
+        raise ValueError("gaps must be nonnegative")
     zero = ~cols.any(axis=0)
-    if np.any(cols[:, ~zero] <= 0):
-        raise ValueError("gaps must be positive; filter zeros before fitting")
     short = (FitWindowError("need at least 40 samples, got %d" % times.size)
              if times.size < 40 else None)
     out = [FitWindowError("gap identically zero") if z else short for z in zero]
     start = int(math.floor(transient_fraction * times.size))
-    below = cols[start:] < floor
+    below = (cols[start:] < floor) | (cols[start:] == 0.0)
     ends = np.where(below.any(axis=0), start + below.argmax(axis=0), times.size).tolist()
     for end in sorted(set(ends)):
         idx = [c for c, e in enumerate(ends) if e == end and out[c] is None]
@@ -188,33 +189,36 @@ def fit_decay_rate(times, gaps, floor=1e-20, transient_fraction=0.3):
             continue
         t = times[start:end]
         window = (float(t[0]), float(t[-1]))
-        # one row per series, so each residual is a contiguous reduction
-        y = np.log(cols[start:end, idx]).T
-        slope, intercept = np.polyfit(t, y.T, 1)
-        resid = np.sqrt(np.mean((y - (slope[:, None] * t + intercept[:, None])) ** 2, axis=1))
+        # one contiguous row per column, so every reduction along a row
+        # adds that column's terms in the order of its one-column fit
+        y = np.log(cols[start:end, idx].T, order="C")
+        dt = t - t.mean()
+        dy = y - y.mean(axis=1, keepdims=True)
+        slope = np.add.reduce(dy * dt, axis=1) / np.add.reduce(dt * dt)
+        resid = np.sqrt(np.mean((dy - slope[:, None] * dt) ** 2, axis=1))
         for c, s, r in zip(idx, slope.tolist(), resid.tolist()):
             out[c] = (FitResult(0.0, window, t.size, r, False) if s >= 0
                       else FitResult(-s, window, t.size, r, True))
     return out
 
 
-def estimate_async_degree(gap_trajectories, tail_window=0.1):
+def estimate_async_degree(gaps, tail_window=0.1):
     """Finite-horizon estimate of the asynchronous degree.
 
-    Sums, over pairs, the maximum gap within the trailing `tail_window`
+    gaps has shape (samples, k), one column per pair.  Sums, over the
+    columns in order, the maximum gap within the trailing `tail_window`
     fraction of samples.  This is a surrogate for the limsup over infinite
     time and the sup over all initial data, so it is an estimate, not the
     mathematical quantity itself.
     """
-    if not gap_trajectories:
-        raise ValueError("need at least one gap trajectory")
+    gaps = np.asarray(gaps, dtype=float)
+    if gaps.ndim != 2 or 0 in gaps.shape:
+        raise ValueError("need a (samples, k) gap block with samples and columns")
+    n_tail = max(1, int(math.ceil(tail_window * len(gaps))))
+    # plain float addition in column order, not a pairwise or compensated sum
     total = 0.0
-    for gaps in gap_trajectories.values():
-        gaps = np.asarray(gaps, dtype=float)
-        if gaps.size == 0:
-            raise ValueError("empty gap trajectory")
-        n_tail = max(1, int(math.ceil(tail_window * gaps.size)))
-        total += float(np.max(gaps[-n_tail:]))
+    for peak in gaps[-n_tail:].max(axis=0).tolist():
+        total += peak
     return total
 
 

@@ -335,18 +335,16 @@ def _write_run(spec, dc, rows, blowup, steps):
     norms = data[:, 1:1 + 4 * m].reshape(-1, m, 4)
     gaps = data[:, 2 + 4 * m:]
     if m <= MAX_PAIR_COLUMNS_M:
-        gap_trajs = dict(zip(_pairs(m), gaps.T))
         gap_max = gaps.max(axis=1)   # the largest gap over all pairs at each sample
-        # a zero sample is below any floor, so it ends its column's window;
-        # an identically zero column stays zero, which the fit reports
-        fits = fit_decay_rate(times, np.where(gaps.any(axis=0), np.maximum(gaps, 1e-300), 0.0))
+        fits = fit_decay_rate(times, gaps)
+        report["degs_estimate"] = estimate_async_degree(gaps)
     else:
-        gap_trajs, fits = {}, []
+        fits = []
         gap_max = gaps[:, 0]
         report["note"] = ("per-pair rates are not fitted for m > %d; the verdict "
                           "reads the gap_max column" % MAX_PAIR_COLUMNS_M)
 
-    for (i, j), fit in zip(gap_trajs, fits):
+    for (i, j), fit in zip(_pairs(m), fits):
         key = "%d-%d" % (i + 1, j + 1)
         if isinstance(fit, FitWindowError):
             report["pairs"][key] = {"rate": None, "window": None, "residual": None,
@@ -365,9 +363,6 @@ def _write_run(spec, dc, rows, blowup, steps):
         env = check_absorbing_envelope(times, _quasinorm_series(norms), dc)
         report["envelope"] = {"passed": env.passed, "max_margin": env.max_margin,
                               "asymptote": dc.envelope_asymptote}
-
-    if gap_trajs:
-        report["degs_estimate"] = estimate_async_degree(gap_trajs)
 
     if blowup is not None:
         report["verdict"] = "diverged"

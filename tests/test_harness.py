@@ -285,6 +285,31 @@ class TestRunExperiment:
         assert "note" not in run_experiment(small_spec(tmp_path / "m2")).report
 
 
+def test_reports_fit_without_least_squares_solvers(tmp_path, monkeypatch):
+    # the rate fits are closed-form lines: with numpy's least-squares
+    # solvers refused, a run and a two-cell sweep give the same verdicts
+    config = IntegratorConfig(dt=1e-3, t_end=0.5, observe_every=10)
+    spec = small_spec(tmp_path, parameters=Parameters(m=3), config=config)
+
+    def reports(out):
+        solo = run_experiment(dataclasses.replace(spec, output_dir=str(out / "solo"))).report
+        sweep = SweepSpec(base=dataclasses.replace(spec, output_dir=str(out / "sweep")),
+                          P_values=(0.5, 2.0), Q_values=(2.0,), seeds=(1,))
+        return solo, run_sweep(sweep)[1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("least-squares solver called")
+
+    want = reports(tmp_path / "plain")
+    monkeypatch.setattr(np, "polyfit", refused)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    solo, sweep = reports(tmp_path / "refused")
+    assert all(pair["rate"] is not None for pair in solo["pairs"].values())
+    assert solo["verdict"] == want[0]["verdict"]
+    assert [c["verdicts"] for c in sweep["cells"]] == [c["verdicts"] for c in want[1]["cells"]]
+    assert all(c["median_rate"] is not None for c in sweep["cells"])
+
+
 def assert_cells_match_solo_runs(tmp_path, base, report):
     """Every run of a sweep wrote the same bytes as the same spec run alone."""
     cells_dir = Path(base.output_dir) / "cells"
