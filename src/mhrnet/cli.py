@@ -152,7 +152,7 @@ def build_spec(cfg, outdir=None):
         )
         if init.mode == "from-file":
             # read and check the state file now, so a bad one is a config error
-            generate_initial(spec, spec.seed)
+            generate_initial(spec)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
     return spec

@@ -193,21 +193,26 @@ def seminorm_h1(f, g):
 
 
 def energy_functional(x, g, c1=1.0):
-    """sum_i (c1 ||u_i||^2 + ||v_i||^2 + ||w_i||^2 + ||rho_i||_L4^4) of a state.
+    """sum_i (c1 ||u_i||^2 + ||v_i||^2 + ||w_i||^2 + ||rho_i||_L4^4), one per replicate.
 
-    x has shape (m, 4, *cells) with components (u, v, w, rho); c1 = 1 gives
-    the mixed-power quasi-norm.  Each of the 4m integrals is taken once, with
-    no root, and they are summed with math.fsum, which rounds exactly, so the
-    value does not depend on neuron order.
+    x is a batch (R, m, 4, *cells) with components (u, v, w, rho), and c1
+    one weight or one per replicate; c1 = 1 gives the mixed-power
+    quasi-norm.  Each of a replicate's 4m integrals is taken once, along
+    its own row, with no root, and they are summed with math.fsum, which
+    rounds exactly: a value is bitwise that of its replicate alone and does
+    not depend on neuron order.
     """
-    if c1 <= 0:
+    c1 = np.asarray(c1, dtype=float)
+    if not np.all(c1 > 0):
         raise ValueError("c1 must be positive")
     x = _check_field(x, g)
+    if x.ndim != 3 + g.dim or x.shape[2] != 4:
+        raise InvalidFieldError("energy needs a batch (R, m, 4, *cells), got %s" % (x.shape,))
     f2 = x * x
-    f2[:, 3] *= f2[:, 3]
+    f2[:, :, 3] *= f2[:, :, 3]
     s = _integral(f2, g)
-    s[:, 0] *= c1
-    return math.fsum(s.ravel().tolist())
+    s[:, :, 0] *= c1.reshape(c1.shape + (1,))
+    return np.array([math.fsum(row) for row in s.reshape(len(s), -1).tolist()])
 
 
 def smooth_field(f, g, passes):

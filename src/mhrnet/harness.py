@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ from .analysis import (
     pairwise_gap,
 )
 from .grid import Grid, energy_functional, norm_l2, norm_l4, smooth_field
-from .integrator import BlowUpError, IntegratorConfig, check_stable, integrate, step_count
+from .integrator import IntegratorConfig, check_stable, integrate, step_count
 from .model import COMPONENTS, NetworkState, Parameters, integer, real
 
 __all__ = [
@@ -105,6 +106,8 @@ class ExperimentSpec:
             raise ValueError("cstar must be positive and finite")
         object.__setattr__(self, "cstar", cstar)
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
+        if "/" in self.label or os.sep in self.label:
+            raise ValueError("label %r must not contain a path separator" % self.label)
         check_stable(self.config, self.parameters, self.grid)
 
     def echo(self):
@@ -166,12 +169,12 @@ class ExperimentResult:
     report: dict
 
 
-def generate_initial(spec, seed):
-    """Deterministic initial network state for (spec, seed).
+def generate_initial(spec):
+    """The deterministic initial state of spec, a float (m, 4, *cells) array.
 
     uniform-random: per-component uniform samples in the amplitude box,
     then smoothing_passes diffusion passes; each neuron draws from its own
-    substream.  constant-offset: neuron i gets the constant
+    substream of spec.seed.  constant-offset: neuron i gets the constant
     lo + (hi - lo) * i / (m - 1) per component.  from-file: loads an npz
     with a finite numeric array 'state' of shape (m, 4, *cells).
     """
@@ -194,20 +197,20 @@ def generate_initial(spec, seed):
             raise ValueError("state array must be numeric, got dtype %s" % x.dtype)
         if not np.isfinite(x).all():
             raise ValueError("state array contains non-finite values")
-        return NetworkState(x, 0.0)
+        return np.asarray(x, dtype=float)
     x = np.empty(shape)
     if ic.mode == "constant-offset":
         for i in range(p.m):
             for k, comp in enumerate(COMPONENTS):
                 lo, hi = ic.amplitude[comp]
                 x[i, k] = lo + (hi - lo) * (i / (p.m - 1))
-        return NetworkState(x, 0.0)
+        return x
     for i in range(p.m):
-        rng = np.random.default_rng([seed, i])
+        rng = np.random.default_rng([spec.seed, i])
         for k, comp in enumerate(COMPONENTS):
             lo, hi = ic.amplitude[comp]
             x[i, k] = rng.uniform(lo, hi, size=g.shape)
-    return NetworkState(smooth_field(x, g, ic.smoothing_passes), 0.0)
+    return smooth_field(x, g, ic.smoothing_passes)
 
 
 def _pairs(m):
@@ -239,7 +242,7 @@ def _sample(t, x, g, c1):
     for i in range(m):
         norms += [norm_l2(x[:, i, 0], g), norm_l2(x[:, i, 1], g), norm_l2(x[:, i, 2], g),
                   norm_l4(x[:, i, 3], g)]
-    energy = [energy_functional(xr, g, c) for xr, c in zip(x, c1)]
+    energy = energy_functional(x, g, c1)
     gaps = pairwise_gap(x, g)
     if m > MAX_PAIR_COLUMNS_M:
         gaps = [[max(row), sum(row) / len(row)] for row in gaps]
@@ -287,7 +290,7 @@ def _run_batch(specs, extra_observer=None):
     outdir.mkdir(parents=True, exist_ok=True)
     g, cfg = base.grid, base.config
     consts = [compute_constants(s.parameters, g.measure, s.cstar) for s in specs]
-    nets = [generate_initial(s, s.seed) for s in specs]
+    x = np.stack([generate_initial(s) for s in specs])
     rows = [[] for _ in specs]
 
     def observer(t, x, live):
@@ -299,11 +302,11 @@ def _run_batch(specs, extra_observer=None):
             if extra_observer is not None:
                 extra_observer(t, NetworkState(x[r], t))
 
-    observer(nets[0].t, np.stack([net.x for net in nets]), range(len(nets)))
-    finals = integrate(nets, [s.parameters for s in specs], g, cfg, observer)
+    observer(0.0, x, range(len(specs)))
+    _, errors = integrate(x, [s.parameters for s in specs], g, cfg, observer)
     steps = step_count(cfg)
-    return [_write_run(spec, dc, rows_b, out if isinstance(out, BlowUpError) else None, steps)
-            for spec, dc, rows_b, out in zip(specs, consts, rows, finals)]
+    return [_write_run(spec, dc, rows_b, err, steps)
+            for spec, dc, rows_b, err in zip(specs, consts, rows, errors)]
 
 
 def _write_run(spec, dc, rows, blowup, steps):

@@ -249,19 +249,18 @@ def step_imex(x0, p, g, dt, decay):
     return x
 
 
-def step_count(cfg, t0=0.0):
-    """Number of fixed steps of cfg.dt that take t0 to t >= cfg.t_end (at least 1)."""
-    return max(1, math.ceil((cfg.t_end - t0) / cfg.dt - 1e-12))
+def step_count(cfg):
+    """Number of fixed steps of cfg.dt that take t = 0 to t >= cfg.t_end (at least 1)."""
+    return max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
 
 
-def integrate(nets, params, g, cfg, observer=None):
-    """Advance a batch of states until t >= t_end with fixed steps of cfg.dt.
+def integrate(x, params, g, cfg, observer=None):
+    """Advance a batch x from t = 0 until t >= t_end with fixed steps of cfg.dt.
 
-    nets is a list of B NetworkStates at one time and params their
+    x is a (B, m, 4, *cells) array of B >= 1 replicates and params their
     Parameters, which may differ only in P and Q; one network is the batch
-    of one.  The batch advances as one (B, m, 4, *cells) array, and each
-    replicate takes bitwise the trajectory it takes in a batch of one.
-    Identical inputs produce bitwise-identical trajectories.
+    of one.  Each replicate takes bitwise the trajectory it takes in a
+    batch of one, and identical inputs give bitwise-identical trajectories.
 
     The observer, if given, is called every cfg.observe_every steps and at
     the final step, once for the whole batch, as observer(t, x, live): x is
@@ -272,18 +271,17 @@ def integrate(nets, params, g, cfg, observer=None):
     its first offending neuron and component; or a quasi-norm above
     QUASI_NORM_CEILING, checked at observation boundaries before the
     observer.  A replicate that blows up leaves the batch and the others go
-    on.  Returns a list with each replicate's final NetworkState or the
-    BlowUpError that ended it.
+    on.  Returns (x, errors): x is (B, m, 4, *cells), each row the last
+    state of its replicate (for one that blew up, the state that did), and
+    errors holds each replicate's BlowUpError, or None.
     """
-    if not nets:
-        raise ValueError("integrate needs at least one state")
-    if len(params) != len(nets):
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 + g.dim or x.shape[2:] != (4,) + g.shape or 0 in x.shape[:2]:
+        raise ValueError("integrate needs a batch of shape (B >= 1, m >= 1, 4, %s), got %s"
+                         % (", ".join(map(str, g.shape)), x.shape))
+    if len(params) != len(x):
         raise ValueError("%d states but %d Parameters: a batch needs one per state"
-                         % (len(nets), len(params)))
-    starts = {net.t for net in nets}
-    if len(starts) > 1:
-        raise ValueError("the states of a batch must start at one time, got t = %s"
-                         % sorted(starts))
+                         % (len(x), len(params)))
     p0 = params[0]
     for q in params[1:]:
         for name in Parameters.field_names():
@@ -293,47 +291,44 @@ def integrate(nets, params, g, cfg, observer=None):
     check_stable(cfg, p0, g)
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
     coupling = replicate_coupling(params, g, cfg.dt, cfg.scheme)
-    t0 = nets[0].t
-    n_steps = step_count(cfg, t0)
-    x = np.stack([net.x for net in nets])
-    live = list(range(len(nets)))    # the replicate in each row of x
-    out = [None] * len(nets)
-    t = t0
+    n_steps = step_count(cfg)
+    live = list(range(len(x)))    # the replicate in each row of x
+    errors = [None] * len(x)
+    ended = {}                     # the last state of each replicate that blew up
+
+    def drop(blown):
+        """Take the rows in blown out of the batch, keeping their states and errors."""
+        nonlocal x, live, coupling
+        if not blown:
+            return
+        for r, err in blown.items():
+            errors[live[r]], ended[live[r]] = err, x[r].copy()
+        keep = [r for r in range(len(live)) if r not in blown]
+        x, live = x[keep], [live[r] for r in keep]
+        coupling = replicate_coupling([params[b] for b in live], g, cfg.dt, cfg.scheme)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             x = step(x, p0, g, cfg.dt, coupling)
-            t = t0 + k * cfg.dt
-            dropped = set()
+            t = k * cfg.dt
             if not np.isfinite(x).all():
-                for r, b in enumerate(live):
-                    bad = NetworkState(x[r], t).first_nonfinite()
-                    if bad is not None:
-                        out[b] = BlowUpError(t, neuron=bad[0], component=bad[1], step=k)
-                        dropped.add(r)
-            observe = k % cfg.observe_every == 0 or k == n_steps
-            if observe:
-                for r, b in enumerate(live):
-                    if r in dropped:
-                        continue
-                    qn = quasi_norm(x[r], g)
-                    if qn > QUASI_NORM_CEILING:
-                        out[b] = BlowUpError(t, detail="quasi-norm %.3g exceeds ceiling" % qn,
-                                             step=k)
-                        dropped.add(r)
-            if dropped:
-                keep = [r for r in range(len(live)) if r not in dropped]
-                x, live = x[keep], [live[r] for r in keep]
-                if not live:
-                    break
-                coupling = replicate_coupling([params[b] for b in live], g, cfg.dt, cfg.scheme)
-            if observe and observer is not None:
-                seen = x.view()
-                seen.flags.writeable = False
-                observer(t, seen, tuple(live))
-                # a view kept until the next observation would hold this
-                # state in memory through all the steps in between
-                del seen
-    for r, b in enumerate(live):
-        out[b] = NetworkState(x[r], t)
-    return out
-
+                drop({r: BlowUpError(t, *bad, step=k) for r in range(len(live))
+                      if (bad := NetworkState(x[r], t).first_nonfinite()) is not None})
+            if live and (k % cfg.observe_every == 0 or k == n_steps):
+                drop({r: BlowUpError(t, detail="quasi-norm %.3g exceeds ceiling" % qn, step=k)
+                      for r, qn in enumerate(quasi_norm(x, g)) if qn > QUASI_NORM_CEILING})
+                if live and observer is not None:
+                    seen = x.view()
+                    seen.flags.writeable = False
+                    observer(t, seen, tuple(live))
+                    # a view kept until the next observation would hold this
+                    # state in memory through all the steps in between
+                    del seen
+            if not live:
+                break
+    if ended:
+        out = np.empty((len(errors),) + x.shape[1:])
+        out[live] = x
+        out[list(ended)] = list(ended.values())
+        x = out
+    return x, errors

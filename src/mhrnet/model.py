@@ -83,7 +83,7 @@ class Parameters:
 
 @dataclass
 class NetworkState:
-    """The fields of all m neurons as one (m, 4, *cells) array, plus the time."""
+    """One network's (m, 4, *cells) array at time t, as handed to an extra observer."""
 
     x: np.ndarray
     t: float = 0.0
@@ -96,13 +96,6 @@ class NetworkState:
             raise ValueError("network must contain at least one neuron")
         if self.t < 0.0:
             raise ValueError("time must be nonnegative")
-
-    @property
-    def m(self):
-        return self.x.shape[0]
-
-    def copy(self):
-        return NetworkState(self.x.copy(), self.t)
 
     def first_nonfinite(self):
         """(neuron index, component name) of the first non-finite entry, or None."""

@@ -29,11 +29,7 @@ from mhrnet.integrator import (
     step_imex,
     step_rk4,
 )
-from mhrnet.model import (
-    NetworkState,
-    Parameters,
-    coupling_rhs,
-)
+from mhrnet.model import Parameters, coupling_rhs
 from mhrnet.grid import laplacian_neumann, smooth_field
 
 
@@ -67,7 +63,7 @@ def test_criterion_2_manifold_invariance():
     p = Parameters(P=3.0, Q=2.0, m=3)
     rng = np.random.default_rng(42)
     shared = smooth_field(rng.uniform(-1.0, 1.0, size=(4,) + g.shape), g, 2)
-    net = NetworkState(np.stack([shared] * 3), 0.0)
+    net = np.stack([shared] * 3)[None]
     cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=20.0, observe_every=100)
 
     worst = [0.0]
@@ -75,8 +71,8 @@ def test_criterion_2_manifold_invariance():
     def observer(t, x, live):
         worst[0] = max(worst[0], max(pairwise_gap(x, g)[0]))
 
-    (final,) = integrate([net], [p], g, cfg, observer)
-    assert isinstance(final, NetworkState)
+    final, errors = integrate(net, [p], g, cfg, observer)
+    assert errors == [None] and final.shape == net.shape
     assert worst[0] <= 1e-12
 
 
@@ -149,14 +145,14 @@ def test_criterion_4_uncoupled_contrast():
         spec = ExperimentSpec(parameters=p, grid=g, config=cfg,
                               initial=InitialCondition(smoothing_passes=2),
                               seed=seed)
-        net = generate_initial(spec, seed)
+        x0 = generate_initial(spec)[None]
         min_gap = [np.inf]
 
         def observer(t, x, live):
             min_gap[0] = min(min_gap[0], pairwise_gap(x, g)[0][0])
 
-        (final,) = integrate([net], [p], g, cfg, observer)
-        assert isinstance(final, NetworkState)
+        final, errors = integrate(x0, [p], g, cfg, observer)
+        assert errors == [None] and final.shape == x0.shape
         if min_gap[0] > 1e-2:
             stayed_apart += 1
     assert stayed_apart >= 3
@@ -185,15 +181,15 @@ def test_criterion_5_absorbing_envelope():
                 amplitude={c: (-amp, amp) for c in ("u", "v", "w", "rho")}),
             seed=seed,
         )
-        net = generate_initial(spec, seed)
-        times, energies = [0.0], [energy_functional(net.x, g)]
+        x0 = generate_initial(spec)[None]
+        times, energies = [0.0], list(energy_functional(x0, g))
 
         def observer(t, x, live):
             times.append(t)
-            energies.append(energy_functional(x[0], g))
+            energies.extend(energy_functional(x, g))
 
-        (final,) = integrate([net], [p], g, cfg, observer)
-        assert isinstance(final, NetworkState)
+        final, errors = integrate(x0, [p], g, cfg, observer)
+        assert errors == [None] and final.shape == x0.shape
         chk = check_absorbing_envelope(np.array(times), np.array(energies), dc)
         assert chk.passed, "seed %d margin %.3g" % (seed, chk.max_margin)
     # the strongest seed must genuinely start far above the asymptote
@@ -205,9 +201,10 @@ def test_criterion_5_absorbing_envelope():
 # --------------------------------------------------------------------------
 
 def _smooth_net(g, m, seed, passes=3, amplitude=0.5):
+    """A batch of one (1, m, 4, *cells) of smoothed uniform samples."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-amplitude, amplitude, size=(m, 4) + g.shape)
-    return NetworkState(smooth_field(x, g, passes), 0.0)
+    return smooth_field(x, g, passes)[None]
 
 
 def _max_diff(x1, x2):
@@ -227,7 +224,7 @@ def test_criterion_6_discretization_orders():
     # (b, c) time-stepping self-convergence against a fine RK4 reference
     g = Grid((32,), (1.0,))
     p = Parameters(eta1=0.01, eta2=0.01)
-    x0 = _smooth_net(g, 2, seed=3).x[None]
+    x0 = _smooth_net(g, 2, seed=3)
     t_end = 0.5
     ref = x0
     strengths = replicate_coupling([p], g, 5e-5, "explicit-rk4")
@@ -285,12 +282,13 @@ def test_criterion_7_determinism_and_equivariance(tmp_path):
     cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=5.0, observe_every=100)
     net = _smooth_net(g, 3, seed=10)
     perm = [2, 0, 1]
-    pnet = NetworkState(net.x[perm], 0.0)
+    pnet = net[:, perm]
 
     samples, psamples = [], []
     for start, seen in ((net, samples), (pnet, psamples)):
-        (final,) = integrate([start], [p], g, cfg, lambda t, x, live: seen.append(x[0].copy()))
-        assert isinstance(final, NetworkState)
+        final, errors = integrate(start, [p], g, cfg,
+                                  lambda t, x, live: seen.append(x[0].copy()))
+        assert errors == [None] and final.shape == start.shape
     assert len(samples) == len(psamples)
     for s, ps in zip(samples, psamples):
         for new_i, old_i in enumerate(perm):

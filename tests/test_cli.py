@@ -197,6 +197,16 @@ class TestSimulate:
         assert err.count("\n") == 1 and "seed" in err and ">= 0" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("label", ["a/b", "../escaped"])
+    def test_label_with_path_separator_rejected(self, tmp_path, capsys, label):
+        # refused when the spec is built: no step runs and nothing is
+        # written, inside the output directory or beside it
+        code = main(["simulate", "-s", "label=%s" % label, "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "label" in err and "path separator" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, override, name", [
         ("simulate", 'parameters.a="1"', "'a'"),
         ("simulate", 'parameters.P="2.5"', "'P'"),

@@ -203,45 +203,51 @@ def test_norm_l4_bitwise_equals_product_formula(cells):
 
 
 def make_state(g, m, value=1.0):
-    return np.full((m, 4) + g.shape, value)
+    """A batch of one (1, m, 4, *cells) holding value everywhere."""
+    return np.full((1, m, 4) + g.shape, value)
 
 
 def test_quasi_norm_examples():
     # the quasi-norm is the energy functional with c1 = 1
     g = unit_grid()
-    assert energy_functional(make_state(g, 2, 0.0), g) == 0.0
-    assert energy_functional(make_state(g, 2, 1.0), g) == pytest.approx(8.0)
+    assert energy_functional(make_state(g, 2, 0.0), g) == [0.0]
+    assert energy_functional(make_state(g, 2, 1.0), g) == pytest.approx([8.0])
 
 
 def test_quasi_norm_rho_quartic_scaling():
     g = unit_grid()
     base = make_state(g, 1, 0.0)
-    base[0, 3] = 1.0
+    base[0, 0, 3] = 1.0
     scaled = base.copy()
-    scaled[0, 3] *= 3.0
+    scaled[0, 0, 3] *= 3.0
     assert energy_functional(scaled, g) == pytest.approx(81.0 * energy_functional(base, g))
 
 
 def test_energy_functional():
     g = unit_grid()
     x = make_state(g, 2, 0.7)
-    assert energy_functional(x, g, 1.0) == pytest.approx(2.0 * (3.0 * 0.7 ** 2 + 0.7 ** 4))
-    assert energy_functional(make_state(g, 2, 0.0), g, 5.0) == 0.0
+    assert energy_functional(x, g, 1.0) == pytest.approx([2.0 * (3.0 * 0.7 ** 2 + 0.7 ** 4)])
+    assert energy_functional(make_state(g, 2, 0.0), g, 5.0) == [0.0]
     x1 = make_state(g, 1, 0.0)
-    x1[0, 0] = 1.0
-    assert energy_functional(x1, g, 5.0) == pytest.approx(5.0)
+    x1[0, 0, 0] = 1.0
+    assert energy_functional(x1, g, 5.0) == pytest.approx([5.0])
     with pytest.raises(ValueError):
         energy_functional(x, g, 0.0)
+    with pytest.raises(ValueError):
+        energy_functional(np.concatenate([x, x]), g, [1.0, -1.0])
+    # one state without its batch axis is refused, not misread
+    with pytest.raises(InvalidFieldError):
+        energy_functional(x[0], g)
 
 
 @pytest.mark.parametrize("m", [8, 17])
 def test_energy_functional_exactly_permutation_invariant(m):
     g = Grid((12, 10), (1.0, 0.5))
     rng = np.random.default_rng(m)
-    x = rng.uniform(-2.0, 2.0, size=(m, 4) + g.shape)
+    x = rng.uniform(-2.0, 2.0, size=(1, m, 4) + g.shape)
     for perm in [rng.permutation(m) for _ in range(4)] + [np.arange(m)[::-1]]:
         for c1 in (1.0, 5.0):
-            assert energy_functional(x[perm], g, c1) == energy_functional(x, g, c1)
+            assert energy_functional(x[:, perm], g, c1) == energy_functional(x, g, c1)
 
 
 @pytest.mark.parametrize("cells", [(64,), (12, 10)])
@@ -253,7 +259,21 @@ def test_energy_functional_bitwise_equals_fsum_formula(cells):
         terms += [np.sum(u * u) * g.cell_volume * 5.0, np.sum(v * v) * g.cell_volume,
                   np.sum(w * w) * g.cell_volume,
                   np.sum((rho * rho) * (rho * rho)) * g.cell_volume]
-    assert energy_functional(x, g, 5.0) == math.fsum(terms)
+    assert energy_functional(x[None], g, 5.0) == [math.fsum(terms)]
+
+
+@pytest.mark.parametrize("cells", [(16,), (6, 5)])
+def test_energy_functional_row_equals_batch_of_one(cells):
+    # three replicates, each with its own c1: each value is bitwise the
+    # value of its replicate alone
+    g = Grid(cells, (1.0,) * len(cells))
+    x = np.random.default_rng(9).uniform(-1.0, 1.0, size=(3, 3, 4) + cells)
+    c1 = [0.5, 2.0, 7.25]
+    out = energy_functional(x, g, c1)
+    assert out.shape == (3,)
+    for b in range(3):
+        alone = energy_functional(x[b:b + 1], g, c1[b])
+        assert np.array_equal(out[b:b + 1].view(np.int64), alone.view(np.int64))
 
 
 def test_smoothing_reduces_h1_monotonically():

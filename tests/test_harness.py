@@ -46,27 +46,30 @@ class TestInitialCondition:
             parameters=Parameters(), grid=Grid((16,), (1.0,)),
             config=IntegratorConfig(), initial=ic,
         )
-        net = generate_initial(spec, 5)
-        assert np.allclose(net.x, 0.3)
+        x = generate_initial(dataclasses.replace(spec, seed=5))
+        assert x.shape == (2, 4, 16) and x.dtype == np.float64
+        assert np.allclose(x, 0.3)
 
     def test_deterministic_and_seed_sensitive(self):
         spec = ExperimentSpec(parameters=Parameters(), grid=Grid((32,), (1.0,)),
                               config=IntegratorConfig())
-        a = generate_initial(spec, 7)
-        b = generate_initial(spec, 7)
-        c = generate_initial(spec, 8)
-        assert np.array_equal(a.x[0, 0], b.x[0, 0])
-        assert not np.array_equal(a.x[0, 0], c.x[0, 0])
+        a = generate_initial(dataclasses.replace(spec, seed=7))
+        b = generate_initial(dataclasses.replace(spec, seed=7))
+        c = generate_initial(dataclasses.replace(spec, seed=8))
+        assert a.dtype == np.float64
+        assert np.array_equal(a[0, 0], b[0, 0])
+        assert not np.array_equal(a[0, 0], c[0, 0])
         # neurons draw from independent substreams
-        assert not np.array_equal(a.x[0, 0], a.x[1, 0])
+        assert not np.array_equal(a[0, 0], a[1, 0])
 
     def test_smoothing_lowers_h1(self):
         g = Grid((64,), (1.0,))
-        rough = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig())
+        rough = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig(),
+                               seed=1)
         smooth = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig(),
-                                initial=InitialCondition(smoothing_passes=5))
-        h1_rough = seminorm_h1(generate_initial(rough, 1).x[0, 0], g)
-        h1_smooth = seminorm_h1(generate_initial(smooth, 1).x[0, 0], g)
+                                initial=InitialCondition(smoothing_passes=5), seed=1)
+        h1_rough = seminorm_h1(generate_initial(rough)[0, 0], g)
+        h1_smooth = seminorm_h1(generate_initial(smooth)[0, 0], g)
         assert h1_smooth < h1_rough
 
     def test_constant_offset_ladder(self):
@@ -74,10 +77,11 @@ class TestInitialCondition:
                               amplitude={c: (0.0, 1.0) for c in ("u", "v", "w", "rho")})
         spec = ExperimentSpec(parameters=Parameters(m=3), grid=Grid((8,), (1.0,)),
                               config=IntegratorConfig(), initial=ic)
-        net = generate_initial(spec, 0)
-        assert np.allclose(net.x[0, 0], 0.0)
-        assert np.allclose(net.x[1, 0], 0.5)
-        assert np.allclose(net.x[2, 0], 1.0)
+        x = generate_initial(spec)
+        assert x.dtype == np.float64
+        assert np.allclose(x[0, 0], 0.0)
+        assert np.allclose(x[1, 0], 0.5)
+        assert np.allclose(x[2, 0], 1.0)
 
     def test_from_file_roundtrip(self, tmp_path):
         g = Grid((16,), (1.0,))
@@ -89,8 +93,13 @@ class TestInitialCondition:
             parameters=Parameters(), grid=g, config=IntegratorConfig(),
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
-        net = generate_initial(spec, 0)
-        assert np.array_equal(net.x[1, 3], state[1, 3])
+        x = generate_initial(spec)
+        assert x.dtype == np.float64
+        assert np.array_equal(x[1, 3], state[1, 3])
+        # an integer state loads as floats
+        np.savez(path, state=np.arange(2 * 4 * 16).reshape(2, 4, 16))
+        x = generate_initial(spec)
+        assert x.dtype == np.float64 and x[1, 3, 15] == 127.0
 
     def test_from_file_shape_mismatch(self, tmp_path):
         path = tmp_path / "ic.npz"
@@ -101,7 +110,7 @@ class TestInitialCondition:
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         with pytest.raises(ValueError):
-            generate_initial(spec, 0)
+            generate_initial(spec)
 
     @pytest.mark.parametrize("state, message", [
         (np.full((2, 4, 16), "1.0"), "numeric"),
@@ -118,7 +127,7 @@ class TestInitialCondition:
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         with pytest.raises(ValueError, match=message):
-            generate_initial(spec, 0)
+            generate_initial(spec)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +148,11 @@ class TestSpecValidation:
         for bad in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 small_spec(tmp_path, cstar=bad)
+
+    @pytest.mark.parametrize("label", ["a/b", "../escaped", "/abs"])
+    def test_label_with_path_separator_rejected(self, tmp_path, label):
+        with pytest.raises(ValueError, match="label .* path separator"):
+            small_spec(tmp_path, label=label)
 
 
 @pytest.mark.parametrize("m", [8, 17])
@@ -166,7 +180,7 @@ def test_batch_sample_rows_equal_rows_sampled_alone(cells, B, m):
         want = [0.25]
         for u, v, w, rho in xb:
             want += [norm_l2(u, g), norm_l2(v, g), norm_l2(w, g), norm_l4(rho, g)]
-        want.append(energy_functional(xb, g, c1[b]))
+        want += list(energy_functional(xb[None], g, c1[b]))
         (gaps,) = pairwise_gap(xb[None], g)
         want += gaps if m <= MAX_PAIR_COLUMNS_M else [max(gaps), sum(gaps) / len(gaps)]
         assert rows[b].tobytes() == np.array(want).tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -27,15 +28,17 @@ def unit_grid(n=32):
 
 
 def const_net(g, m, u=0.0, v=0.0, w=0.0, rho=0.0):
-    x = np.empty((m, 4) + g.shape)
+    """A batch of one (1, m, 4, *cells) whose every neuron holds the same constants."""
+    x = np.empty((1, m, 4) + g.shape)
     x[:] = np.reshape([u, v, w, rho], (4,) + (1,) * g.dim)
-    return NetworkState(x, 0.0)
+    return x
 
 
 def smooth_random_net(g, m, seed, passes=3, amplitude=0.5):
+    """A batch of one (1, m, 4, *cells) of smoothed uniform samples."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-amplitude, amplitude, size=(m, 4) + g.shape)
-    return NetworkState(smooth_field(x, g, passes), 0.0)
+    return smooth_field(x, g, passes)[None]
 
 
 def max_diff(x1, x2):
@@ -93,7 +96,7 @@ class TestRk4:
         ustar = brentq(lambda u: -2 * u ** 3 - u ** 2 - 2 * u + 3, 0.0, 2.0)
         g = unit_grid()
         p = Parameters()
-        x = const_net(g, 2, u=ustar, v=1 - ustar ** 2, w=ustar - 1, rho=ustar).x[None]
+        x = const_net(g, 2, u=ustar, v=1 - ustar ** 2, w=ustar - 1, rho=ustar)
         out = rk4(x, p, g, 1e-4)
         assert max_diff(x, out) < 1e-12
 
@@ -103,7 +106,7 @@ class TestRk4:
         p = Parameters(r=1.0, ue=-2.0, P=0.0, Q=0.0)
         g = unit_grid()
         v0 = 0.25
-        x = const_net(g, 2, u=0.0, v=v0, w=v0 + p.Je, rho=0.0).x[None]
+        x = const_net(g, 2, u=0.0, v=v0, w=v0 + p.Je, rho=0.0)
         dt = 1e-3
         for _ in range(1000):
             x = rk4(x, p, g, dt)
@@ -114,7 +117,7 @@ class TestRk4:
     def test_convergence_order(self):
         g = unit_grid(32)
         p = Parameters(eta1=0.01, eta2=0.01)
-        x0 = smooth_random_net(g, 2, seed=3).x[None]
+        x0 = smooth_random_net(g, 2, seed=3)
         t_end = 0.5
 
         def advance(dt):
@@ -131,7 +134,7 @@ class TestRk4:
     def test_rejects_nonpositive_dt(self):
         g = unit_grid()
         with pytest.raises(ValueError):
-            rk4(const_net(g, 2).x[None], Parameters(), g, 0.0)
+            rk4(const_net(g, 2), Parameters(), g, 0.0)
 
 
 class TestImplicitDiffusion:
@@ -267,7 +270,7 @@ class TestImex:
     def test_first_order_accuracy(self):
         g = unit_grid(32)
         p = Parameters(eta1=0.01, eta2=0.01)
-        x0 = smooth_random_net(g, 2, seed=3).x[None]
+        x0 = smooth_random_net(g, 2, seed=3)
         t_end = 0.5
 
         def advance(dt):
@@ -288,7 +291,7 @@ class TestImex:
         # not destabilize the integrating-factor substep
         g = unit_grid(32)
         p = Parameters(P=1e6, Q=1e15)
-        x = smooth_random_net(g, 3, seed=4).x[None]
+        x = smooth_random_net(g, 3, seed=4)
         dt = 1e-3
         for _ in range(50):
             x = imex(x, p, g, dt)
@@ -299,7 +302,7 @@ class TestImex:
         g = unit_grid(32)
         p0 = Parameters(P=0.0, Q=0.0, m=3)
         p1 = Parameters(P=7.0, Q=3.0, m=3)
-        x = smooth_random_net(g, 3, seed=5).x[None]
+        x = smooth_random_net(g, 3, seed=5)
         a = imex(x, p0, g, 1e-3)
         b = imex(x, p1, g, 1e-3)
         mean_a = a[0, :, 0].sum(axis=0) / 3.0
@@ -313,9 +316,9 @@ class TestIntegrate:
         p = Parameters()
         cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=1.0, observe_every=10)
         times = []
-        (net,) = integrate([const_net(g, 2)], [p], g, cfg,
-                           observer=lambda t, x, live: times.append(t))
-        assert net.t == pytest.approx(1.0)
+        x, errors = integrate(const_net(g, 2), [p], g, cfg,
+                              observer=lambda t, x, live: times.append(t))
+        assert x.shape == (1, 2, 4, 32) and errors == [None]
         assert len(times) == 10
         assert times[-1] == pytest.approx(1.0)
 
@@ -323,25 +326,25 @@ class TestIntegrate:
         g = unit_grid(32)
         p = Parameters(P=2.0, Q=2.0)
         cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=0.2)
-        (a,) = integrate([smooth_random_net(g, 2, seed=6)], [p], g, cfg)
-        (b,) = integrate([smooth_random_net(g, 2, seed=6)], [p], g, cfg)
-        assert max_diff(a.x, b.x) == 0.0
+        a, _ = integrate(smooth_random_net(g, 2, seed=6), [p], g, cfg)
+        b, _ = integrate(smooth_random_net(g, 2, seed=6), [p], g, cfg)
+        assert max_diff(a, b) == 0.0
 
     def test_identical_neurons_stay_identical(self):
         g = unit_grid(32)
         p = Parameters(P=5.0, Q=5.0)
         net0 = smooth_random_net(g, 1, seed=7)
-        net0 = NetworkState(np.concatenate([net0.x, net0.x]), 0.0)
+        net0 = np.concatenate([net0, net0], axis=1)
         cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=10.0)
-        (out,) = integrate([net0], [p], g, cfg)
-        assert np.array_equal(out.x[0], out.x[1])
+        out, _ = integrate(net0, [p], g, cfg)
+        assert np.array_equal(out[0, 0], out[0, 1])
 
     def test_stability_guard_rejects_large_dt(self):
         g = unit_grid(64)
         p = Parameters()
         cfg = IntegratorConfig(scheme="explicit-rk4", dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
-            integrate([const_net(g, 2)], [p], g, cfg)
+            integrate(const_net(g, 2), [p], g, cfg)
 
     def test_stability_guard_boundary(self):
         g = unit_grid(64)
@@ -349,10 +352,12 @@ class TestIntegrate:
         edge = 0.9 * stability_limit(g, p)
         over = IntegratorConfig(scheme="explicit-rk4", dt=edge * (1 + 1e-9), t_end=edge)
         with pytest.raises(ValueError, match="stability_limit"):
-            integrate([const_net(g, 2)], [p], g, over)
+            integrate(const_net(g, 2), [p], g, over)
         dt = edge * (1 - 1e-9)
         under = IntegratorConfig(scheme="explicit-rk4", dt=dt, t_end=dt)
-        assert integrate([const_net(g, 2)], [p], g, under)[0].t == dt
+        times = []
+        _, errors = integrate(const_net(g, 2), [p], g, under, lambda t, x, live: times.append(t))
+        assert errors == [None] and times == [dt]
 
     @pytest.mark.parametrize("eta", ["eta1", "eta2"])
     def test_singular_implicit_solve_rejected(self, eta):
@@ -376,8 +381,8 @@ class TestIntegrate:
         cfg = IntegratorConfig(scheme="explicit-rk4", dt=dt, t_end=10.0,
                                observe_every=10, enforce_stability=False)
         net = const_net(g, 2)
-        net.x[0, 0] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
-        (err,) = integrate([net], [p], g, cfg)
+        net[0, 0, 0] = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        _, (err,) = integrate(net, [p], g, cfg)
         assert isinstance(err, BlowUpError)
         assert err.t > 0.0
 
@@ -387,30 +392,32 @@ class TestIntegrate:
         g = unit_grid(16)
         p = Parameters()
         net = const_net(g, 2)
-        net.x[:, 0] = np.linspace(-5.0, 5.0, 16)
-        first = net
+        net[0, :, 0] = np.linspace(-5.0, 5.0, 16)
+        first = NetworkState(net[0], 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             while first.first_nonfinite() is None:
                 first = NetworkState(imex(first.x[None], p, g, 1.0)[0], first.t + 1.0)
         cfg = IntegratorConfig(scheme="imex-be", dt=1.0, t_end=200.0, observe_every=100)
-        (err,) = integrate([net], [p], g, cfg)
+        last, (err,) = integrate(net, [p], g, cfg)
         assert isinstance(err, BlowUpError)
         assert 0.0 < err.t == first.t < 100.0
         assert (err.neuron, err.component) == first.first_nonfinite()
         assert str(err) == "blow-up detected at t=%.6g (neuron %d, component %s)" % (
             first.t, *first.first_nonfinite())
+        # the returned row is the state that blew up
+        assert np.array_equal(last[0], first.x, equal_nan=True)
 
     def test_batch_matches_solo_runs(self):
         # replicates with zero and nonzero strengths: two turn non-finite,
         # at steps 7 and 8, between observations, and two finish.  Each
         # replicate's observations, final state or BlowUpError are those of
-        # its run alone
+        # its run alone; a replicate that blew up returns the state that did
         g = unit_grid(16)
         cfg = IntegratorConfig(scheme="imex-be", dt=0.55, t_end=11.0, observe_every=10)
         nets, ps = [], []
         for scale, P, Q in ((5.0, 0.0, 1.0), (2.0, 2.0, 0.0), (3.0, 1.0, 1.0), (0.1, 0.0, 0.0)):
             net = const_net(g, 2)
-            net.x[:, 0] = scale * np.linspace(-1.0, 1.0, 16)
+            net[0, :, 0] = scale * np.linspace(-1.0, 1.0, 16)
             nets.append(net)
             ps.append(Parameters(P=P, Q=Q))
         seen = [[] for _ in nets]
@@ -420,40 +427,47 @@ class TestIntegrate:
             for r, b in enumerate(live):
                 seen[b].append((t, x[r].copy()))
 
-        out = integrate([n.copy() for n in nets], ps, g, cfg, observer)
+        out, errors = integrate(np.concatenate(nets), ps, g, cfg, observer)
+        assert out.shape == (4, 2, 4, 16)
         for b, (net, p) in enumerate(zip(nets, ps)):
             alone = []
-            (final,) = integrate([net], [p], g, cfg,
-                                 lambda t, x, live: alone.append((t, x[0].copy())))
-            if isinstance(final, BlowUpError):
-                assert isinstance(out[b], BlowUpError)
-                assert (str(out[b]), out[b].step) == (str(final), final.step)
-                assert out[b].step == {0: 7, 2: 8}[b]
+            final, (err,) = integrate(net, [p], g, cfg,
+                                      lambda t, x, live: alone.append((t, x[0].copy())))
+            if err is not None:
+                assert isinstance(errors[b], BlowUpError)
+                assert (str(errors[b]), errors[b].step) == (str(err), err.step)
+                assert errors[b].step == {0: 7, 2: 8}[b]
+                assert not np.isfinite(out[b]).all()
             else:
-                assert out[b].t == final.t and np.array_equal(out[b].x, final.x)
+                assert errors[b] is None
+            assert np.array_equal(out[b:b + 1].view(np.int64), final.view(np.int64))
             assert len(seen[b]) == len(alone)
             for (t, x), (t_alone, x_alone) in zip(seen[b], alone):
                 assert t == t_alone and np.array_equal(x, x_alone)
-        assert [isinstance(o, BlowUpError) for o in out] == [True, False, True, False]
+        assert [isinstance(e, BlowUpError) for e in errors] == [True, False, True, False]
 
     def test_empty_batch_rejected(self):
+        g = unit_grid()
         cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
-        with pytest.raises(ValueError, match="at least one state"):
-            integrate([], [], unit_grid(), cfg)
+        with pytest.raises(ValueError, match=r"B >= 1.*got \(0, 2, 4, 32\)"):
+            integrate(np.empty((0, 2, 4) + g.shape), [], g, cfg)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 32), (1, 2, 3, 32), (1, 2, 4, 31), (1, 2, 4, 4, 8)],
+                             ids=["one-state", "components", "cells", "grid-dim"])
+    def test_bad_batch_shape_rejected(self, shape):
+        g = unit_grid()
+        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match=r"\(B >= 1, m >= 1, 4, 32\), got %s"
+                           % re.escape(str(shape))):
+            integrate(np.zeros(shape), [Parameters()] * shape[0], g, cfg)
 
     @pytest.mark.parametrize("n_states, n_params", [(3, 1), (2, 3)])
     def test_params_length_mismatch_rejected(self, n_states, n_params):
         g = unit_grid()
         cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
         with pytest.raises(ValueError, match="%d states but %d Parameters" % (n_states, n_params)):
-            integrate([const_net(g, 2)] * n_states, [Parameters()] * n_params, g, cfg)
-
-    def test_states_at_different_times_rejected(self):
-        g = unit_grid()
-        cfg = IntegratorConfig(scheme="imex-be", dt=0.01, t_end=0.1)
-        late = NetworkState(const_net(g, 2).x, 0.05)
-        with pytest.raises(ValueError, match="one time"):
-            integrate([const_net(g, 2), late], [Parameters()] * 2, g, cfg)
+            integrate(np.concatenate([const_net(g, 2)] * n_states), [Parameters()] * n_params,
+                      g, cfg)
 
     @pytest.mark.parametrize("name", [n for n in Parameters.field_names() if n not in ("P", "Q")])
     def test_params_differing_beyond_strengths_rejected(self, name):
@@ -464,7 +478,7 @@ class TestIntegrate:
         p = Parameters()
         other = dataclasses.replace(p, **{name: 3 if name == "m" else 2.0 * getattr(p, name) + 0.5})
         with pytest.raises(ValueError, match="not in parameter '%s'" % name):
-            integrate([const_net(g, 2)] * 2, [p, other], g, cfg)
+            integrate(np.concatenate([const_net(g, 2)] * 2), [p, other], g, cfg)
 
 
 BATCH_DT = 1e-3
