@@ -7,8 +7,9 @@ exact coupling substep keeps the scheme stable for arbitrarily large
 coupling strengths, which the synchronization thresholds routinely demand.
 The SPD tridiagonal operator I - s*L of each grid axis is LDL^T-factored
 once per (cells, s) with LAPACK dpttrf and cached; each solve is then one
-dpttrs back-substitution.  scipy supplies both routines and is imported by
-the first factorization, so only an imex-be run loads it.
+dpttrs back-substitution.  Both routines come from scipy's LAPACK extension
+module, which the first factorization loads on its own, without importing
+scipy.linalg, so only an imex-be run loads any of scipy.
 
 Both steppers advance a batch: B replicates of one network that share
 every parameter but the coupling strengths P and Q, held as one
@@ -20,7 +21,10 @@ shares the per-call cost of each operation.
 
 import functools
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -51,7 +55,7 @@ QUASI_NORM_CEILING = 1e12
 SAFETY = 0.9
 
 # LAPACK dpttrs, bound by the first _factor call, so a run with no implicit
-# solve never imports scipy.linalg, most of the package's start-up cost
+# solve loads no scipy module
 _dpttrs = None
 
 
@@ -132,6 +136,26 @@ def step_rk4(x, p, g, dt, strengths):
     return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension module scipy.linalg._flapack, loaded directly.
+
+    Importing scipy.linalg would run its package __init__, which imports
+    hundreds of modules and adds about 22 MB of peak memory.  The extension
+    is loaded from its file under its full name instead, so CPython's cache
+    of extension modules hands it the very routines that scipy.linalg.lapack
+    holds, in whichever order the two are loaded.
+    """
+    import scipy
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec("scipy.linalg._flapack", [where])
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension module _flapack is not in %s" % where)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @functools.lru_cache(maxsize=16)
 def _factor(n, s):
     """LDL^T factors (d, e) of I - s*L_1d, Neumann Laplacian on n >= 2 cells.
@@ -140,11 +164,11 @@ def _factor(n, s):
     factors are cached and shared, so they are made read-only.
     """
     global _dpttrs
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    _dpttrs = dpttrs
+    lapack = _flapack()
+    _dpttrs = lapack.dpttrs
     d = np.full(n, 1.0 + 2.0 * s)
     d[0] = d[-1] = 1.0 + s
-    d, e, info = dpttrf(d, np.full(n - 1, -s), overwrite_d=True, overwrite_e=True)
+    d, e, info = lapack.dpttrf(d, np.full(n - 1, -s), overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise ValueError("dpttrf: I - s*L on %d cells is singular at s=%g" % (n, s))
     d.flags.writeable = e.flags.writeable = False
@@ -258,9 +282,10 @@ def integrate(x, params, g, cfg, observer=None):
     """Advance a batch x from t = 0 until t >= t_end with fixed steps of cfg.dt.
 
     x is a (B, m, 4, *cells) array of B >= 1 replicates and params their
-    Parameters, which may differ only in P and Q; one network is the batch
-    of one.  Each replicate takes bitwise the trajectory it takes in a
-    batch of one, and identical inputs give bitwise-identical trajectories.
+    Parameters, which may differ only in P and Q and whose m is the neuron
+    count of x; one network is the batch of one.  Each replicate takes
+    bitwise the trajectory it takes in a batch of one, and identical inputs
+    give bitwise-identical trajectories.
 
     The observer, if given, is called every cfg.observe_every steps and at
     the final step, once for the whole batch, as observer(t, x, live): x is
@@ -288,6 +313,9 @@ def integrate(x, params, g, cfg, observer=None):
             if name not in ("P", "Q") and getattr(q, name) != getattr(p0, name):
                 raise ValueError("replicates of a batch may differ only in P and Q, "
                                  "not in parameter %r" % name)
+    if x.shape[1] != p0.m:
+        raise ValueError("the batch has %d neurons per network but its Parameters have m=%d"
+                         % (x.shape[1], p0.m))
     check_stable(cfg, p0, g)
     step = step_rk4 if cfg.scheme == "explicit-rk4" else step_imex
     coupling = replicate_coupling(params, g, cfg.dt, cfg.scheme)

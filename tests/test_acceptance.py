@@ -5,6 +5,9 @@ experiment harness) and pin every tolerance explicitly.  Several share one
 expensive synchronization run via module-scoped fixtures.
 """
 
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -29,8 +32,15 @@ from mhrnet.integrator import (
     step_imex,
     step_rk4,
 )
+from mhrnet.cli import build_spec, load_config
 from mhrnet.model import Parameters, coupling_rhs
 from mhrnet.grid import laplacian_neumann, smooth_field
+
+
+def bursting_parameters(**changes):
+    """The Parameters of the packaged bursting.yaml, with changes."""
+    with resources.as_file(resources.files("mhrnet").joinpath("data/bursting.yaml")) as path:
+        return dataclasses.replace(build_spec(load_config(path)).parameters, **changes)
 
 
 # --------------------------------------------------------------------------
@@ -137,8 +147,10 @@ def test_criterion_8_coupling_conservation(sync_run):
 
 @pytest.mark.slow
 def test_criterion_4_uncoupled_contrast():
+    # the chaotic bursting set: with the all-ones set the uncoupled network
+    # has a globally attracting rest state, so every pair would converge
     g = SYNC_GRID
-    p = Parameters(P=0.0, Q=0.0, m=2)
+    p = bursting_parameters(P=0.0, Q=0.0)
     cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=60.0, observe_every=100)
     stayed_apart = 0
     for seed in (1, 2, 3, 4, 5):

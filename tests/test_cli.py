@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import mhrnet
+from mhrnet.analysis import compute_constants
 from mhrnet.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_spec, load_config, main
 
 
@@ -37,6 +38,19 @@ class TestThresholds:
         # all-ones with P = 25: xi = 2 * (2*25 - 2*10.6875) = 57.25
         assert main(["thresholds", "-s", "parameters.P=25"]) == EXIT_OK
         assert "57.25" in capsys.readouterr().out
+
+    def test_packaged_bursting_config(self):
+        # the classic chaotic set: Pmin is large, mostly its slow-w term
+        # Cmult * (1 + 1/r) / m, and so is the Gronwall envelope
+        with resources.as_file(resources.files("mhrnet").joinpath("data/bursting.yaml")) as path:
+            cfg = load_config(path)
+        spec = build_spec(cfg)
+        dc = compute_constants(spec.parameters, spec.grid.measure, spec.cstar)
+        assert dc.Pmin == pytest.approx(16784.7, rel=1e-5)
+        assert dc.envelope_asymptote == pytest.approx(1.59e12, rel=1e-2)
+        default = load_config(None)
+        assert {k: v for k, v in cfg.items() if k != "parameters"} == \
+            {k: v for k, v in default.items() if k != "parameters"}
 
     def test_dump_json(self, tmp_path, capsys):
         dump = tmp_path / "constants.json"
@@ -399,10 +413,19 @@ class TestPortability:
         assert on == off
 
 
+def run_probe(probe, *args):
+    """Run the Python source probe in a fresh interpreter that imports mhrnet from here."""
+    src = str(Path(mhrnet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", probe, *args],
+                          env=env, check=True, capture_output=True, text=True)
+
+
 class TestScipyImport:
     def test_loaded_only_by_an_implicit_solve(self, tmp_path):
         # scipy supplies only the imex-be diffusion solve, so the commands
-        # before the last run in one process without importing it
+        # before the last run in one process without importing it; the last
+        # loads its LAPACK extension module but not scipy.linalg
         runs = [
             ["thresholds"],
             ["estimate-cstar", "--cells", "16", "--samples", "2"],
@@ -419,13 +442,38 @@ class TestScipyImport:
         probe = ("import json, sys\n"
                  "from mhrnet.cli import main\n"
                  "for argv in json.loads(sys.argv[1]):\n"
-                 "    print(main(argv), 'scipy' in sys.modules, file=sys.stderr)\n")
-        src = str(Path(mhrnet.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
-                              env=env, check=True, capture_output=True, text=True)
+                 "    print(main(argv), 'scipy' in sys.modules, 'scipy.linalg' in sys.modules,\n"
+                 "          file=sys.stderr)\n")
+        proc = run_probe(probe, json.dumps(runs))
         results = [line for line in proc.stderr.splitlines() if not line.startswith("error:")]
-        assert results == ["0 False", "0 False", "2 False", "0 False", "0 False", "0 True"]
+        assert results == ["0 False False", "0 False False", "2 False False",
+                           "0 False False", "0 False False", "0 True False"]
+
+    def test_same_routines_as_scipy_linalg_imported_later(self):
+        # the solver's LAPACK routines, loaded by an imex-be step, are the
+        # very objects scipy.linalg.lapack holds when it is imported after
+        # them (tests/test_integrator.py covers the other order)
+        probe = ("import sys\n"
+                 "import numpy as np\n"
+                 "from mhrnet import integrator\n"
+                 "from mhrnet.grid import Grid\n"
+                 "from mhrnet.model import Parameters\n"
+                 "g = Grid((16,), (1.0,))\n"
+                 "cfg = integrator.IntegratorConfig(dt=1e-3, t_end=1e-3)\n"
+                 "x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (1, 2, 4, 16))\n"
+                 "integrator.integrate(x0, [Parameters()], g, cfg)\n"
+                 "assert 'scipy.linalg' not in sys.modules\n"
+                 "import scipy.linalg.lapack as lapack\n"
+                 "assert integrator._dpttrs is lapack.dpttrs\n"
+                 "n, s = 16, 0.256\n"
+                 "d = np.full(n, 1.0 + 2.0 * s)\n"
+                 "d[0] = d[-1] = 1.0 + s\n"
+                 "d, e, info = lapack.dpttrf(d, np.full(n - 1, -s))\n"
+                 "b = np.random.default_rng(2).uniform(-1.0, 1.0, (n, 3))\n"
+                 "ours = integrator.solve_banded(integrator._factor(n, s), b, False)\n"
+                 "theirs = lapack.dpttrs(d, e, b)[0]\n"
+                 "print(info, ours.tobytes() == theirs.tobytes())\n")
+        assert run_probe(probe).stdout.split() == ["0", "True"]
 
 
 class TestSweep:

@@ -12,6 +12,7 @@ from mhrnet.integrator import (
     BlowUpError,
     IntegratorConfig,
     _factor,
+    _flapack,
     check_stable,
     diffusion_step_be,
     integrate,
@@ -242,6 +243,13 @@ class TestImplicitDiffusion:
         with pytest.raises(ValueError, match="singular"):
             _factor(16, 1e16)
 
+    def test_lapack_module_missing_named(self, monkeypatch, tmp_path):
+        # the loader is cached, so its uncached body is called directly
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match="_flapack is not in %s"
+                           % re.escape(str(tmp_path / "linalg"))):
+            _flapack.__wrapped__()
+
     def test_factor_cache_per_step(self):
         g = unit_grid(40)
         f = np.random.default_rng(4).normal(size=g.shape)
@@ -460,6 +468,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=r"\(B >= 1, m >= 1, 4, 32\), got %s"
                            % re.escape(str(shape))):
             integrate(np.zeros(shape), [Parameters()] * shape[0], g, cfg)
+
+    def test_neuron_count_other_than_m_rejected(self):
+        # the coupling factors use m, so m = 2 Parameters on a three-neuron
+        # state would run and end away from the m = 3 run
+        g = unit_grid(16)
+        cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=0.01)
+        x = smooth_random_net(g, 3, seed=1)
+        with pytest.raises(ValueError, match="3 neurons per network but its Parameters have m=2"):
+            integrate(x, [Parameters(m=2, P=5.0, Q=5.0)], g, cfg)
 
     @pytest.mark.parametrize("n_states, n_params", [(3, 1), (2, 3)])
     def test_params_length_mismatch_rejected(self, n_states, n_params):
