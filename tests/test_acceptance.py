@@ -18,6 +18,7 @@ from mhrnet.analysis import (
     fit_decay_rate,
     pairwise_gap,
 )
+from mhrnet.cli import build_spec, load_config
 from mhrnet.grid import Grid, energy_functional
 from mhrnet.harness import (
     ExperimentSpec,
@@ -32,7 +33,6 @@ from mhrnet.integrator import (
     step_imex,
     step_rk4,
 )
-from mhrnet.cli import build_spec, load_config
 from mhrnet.model import Parameters, coupling_rhs
 from mhrnet.grid import laplacian_neumann, smooth_field
 
