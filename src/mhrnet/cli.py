@@ -9,6 +9,7 @@ import argparse
 import logging
 import re
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -31,11 +32,6 @@ from .model import Parameters, real
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-# the top-level keys of a config; any other key is rejected
-CONFIG_KEYS = ("parameters", "grid", "integrator", "initial", "seed", "cstar",
-               "output_dir", "label", "sweep")
-
 
 class ConfigError(Exception):
     pass
@@ -96,65 +92,75 @@ def apply_overrides(cfg, pairs):
     return cfg
 
 
-def build_parameters(cfg):
-    section = cfg.get("parameters")
+def _names(cls):
+    return tuple(f.name for f in fields(cls))
+
+
+# the top-level keys of a config: the ExperimentSpec fields, each section
+# read into the field of its name, and the sweep section
+CONFIG_KEYS = _names(ExperimentSpec) + ("sweep",)
+
+
+def _section(cfg, key, names, required=False):
+    """The section cfg[key] (cfg itself for key None), a mapping whose keys are among names.
+
+    A required section must give every name; any other key is refused.
+    """
+    section = cfg if key is None else cfg.get(key, {})
     if not isinstance(section, dict):
-        raise ConfigError("config is missing the 'parameters' section")
-    names = Parameters.field_names()
-    missing = [n for n in names if n not in section]
-    if missing:
-        raise ConfigError("parameters section is missing field(s): %s" % ", ".join(missing))
-    unknown = [k for k in section if k not in names]
+        raise ConfigError("config section %s must be a mapping, got %r" % (key, section))
+    prefix = "" if key is None else key + "."
+    unknown = [prefix + str(k) for k in section if k not in names]
     if unknown:
-        raise ConfigError("unknown parameter field(s): %s" % ", ".join(unknown))
+        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+    missing = [prefix + n for n in names if n not in section] if required else []
+    if missing:
+        raise ConfigError("missing config key(s): %s" % ", ".join(missing))
+    return section
+
+
+def _lists(section, key):
+    """section, each of whose values must be a list."""
+    for name, value in section.items():
+        if not isinstance(value, list):
+            raise ConfigError("%s.%s must be a list, got %r" % (key, name, value))
+    return section
+
+
+def _build(make, *args, **kwargs):
+    """make(*args, **kwargs), with a TypeError or ValueError raised as a ConfigError."""
     try:
-        return Parameters(**section)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
 
-def build_grid(cfg):
-    section = cfg.get("grid")
-    if not isinstance(section, dict):
-        raise ConfigError("config is missing the 'grid' section")
-    for key in ("cells", "extents"):
-        if not isinstance(section.get(key), list):
-            raise ConfigError("grid.%s must be a list, got %r" % (key, section.get(key)))
-    try:
-        return Grid(tuple(section["cells"]), tuple(section["extents"]))
-    except (TypeError, ValueError) as err:
-        raise ConfigError("bad grid section: %s" % err) from err
-
-
-def _check_keys(cfg):
-    unknown = [str(k) for k in cfg if k not in CONFIG_KEYS]
-    if unknown:
-        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+def _model(cfg):
+    """The Parameters and Grid of cfg, once its top-level keys are checked."""
+    _section(cfg, None, CONFIG_KEYS)
+    p = _build(Parameters, **_section(cfg, "parameters", _names(Parameters), True))
+    grid = _lists(_section(cfg, "grid", _names(Grid), True), "grid")
+    return p, _build(Grid, **grid)
 
 
 def build_spec(cfg, outdir=None):
-    _check_keys(cfg)
-    p = build_parameters(cfg)
-    g = build_grid(cfg)
-    try:
-        icfg = IntegratorConfig(**cfg.get("integrator", {}))
-        init_section = dict(cfg.get("initial", {}))
-        init = InitialCondition(**init_section)
-        spec = ExperimentSpec(
-            parameters=p,
-            grid=g,
-            config=icfg,
-            initial=init,
-            seed=cfg.get("seed", 0),
-            output_dir=str(outdir or cfg.get("output_dir") or "out"),
-            cstar=cfg.get("cstar", 1.0),
-            label=str(cfg.get("label", "run")),
-        )
-        if init.mode == "from-file":
-            # read and check the state file now, so a bad one is a config error
-            generate_initial(spec)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    """The ExperimentSpec of cfg: each section builds the spec field of its name."""
+    p, g = _model(cfg)
+    spec = _build(
+        ExperimentSpec,
+        parameters=p,
+        grid=g,
+        integrator=_build(IntegratorConfig,
+                          **_section(cfg, "integrator", _names(IntegratorConfig))),
+        initial=_build(InitialCondition, **_section(cfg, "initial", _names(InitialCondition))),
+        seed=cfg.get("seed", 0),
+        output_dir=str(outdir or cfg.get("output_dir") or "out"),
+        cstar=cfg.get("cstar", 1.0),
+        label=str(cfg.get("label", "run")),
+    )
+    if spec.initial.mode == "from-file":
+        # read and check the state file now, so a bad one is a config error
+        _build(generate_initial, spec)
     return spec
 
 
@@ -171,13 +177,8 @@ def _check_writable(outdir):
 
 def cmd_thresholds(args):
     cfg = apply_overrides(load_config(args.config), args.set)
-    _check_keys(cfg)
-    p = build_parameters(cfg)
-    g = build_grid(cfg)
-    try:
-        dc = compute_constants(p, g.measure, real("cstar", cfg.get("cstar", 1.0)))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    p, g = _model(cfg)
+    dc = _build(compute_constants, p, g.measure, _build(real, "cstar", cfg.get("cstar", 1.0)))
     rows = [
         ("C1", dc.C1), ("C2", dc.C2), ("lambda", dc.lam), ("M", dc.M),
         ("K", dc.K), ("Cmult", dc.Cmult), ("Pmin", dc.Pmin), ("Qmin", dc.Qmin),
@@ -195,8 +196,6 @@ def cmd_thresholds(args):
 
 
 def cmd_simulate(args):
-    if args.no_stability_guard:
-        args.set = (args.set or []) + ["integrator.enforce_stability=false"]
     cfg = apply_overrides(load_config(args.config), args.set)
     spec = build_spec(cfg, outdir=args.outdir)
     _check_writable(spec.output_dir)
@@ -211,22 +210,9 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     cfg = apply_overrides(load_config(args.config), args.set)
-    section = cfg.get("sweep")
-    if not isinstance(section, dict):
-        raise ConfigError("config is missing the 'sweep' section")
-    for key in ("P", "Q", "seeds"):
-        if not isinstance(section.get(key, []), list):
-            raise ConfigError("sweep.%s must be a list, got %r" % (key, section[key]))
+    section = _lists(_section(cfg, "sweep", ("P", "Q", "seeds"), True), "sweep")
     base = build_spec(cfg, outdir=args.outdir)
-    try:
-        sweep = SweepSpec(
-            base=base,
-            P_values=tuple(section.get("P", ())),
-            Q_values=tuple(section.get("Q", ())),
-            seeds=tuple(section.get("seeds", ())),
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
+    sweep = _build(SweepSpec, base, section["P"], section["Q"], section["seeds"])
     _check_writable(base.output_dir)
     path, report = run_sweep(sweep)
     print("sweep report: %s" % path)
@@ -237,11 +223,8 @@ def cmd_sweep(args):
 def cmd_estimate_cstar(args):
     if args.samples < 1:
         raise ConfigError("--samples must be >= 1")
-    try:
-        g = Grid(tuple(args.cells), tuple(args.extent))
-        value = estimate_gn_constant(g, n_samples=args.samples, seed=args.seed)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    g = _build(Grid, tuple(args.cells), tuple(args.extent))
+    value = _build(estimate_gn_constant, g, n_samples=args.samples, seed=args.seed)
     print("%.12g" % value)
     return EXIT_OK
 
@@ -270,9 +253,6 @@ def _parser():
 
     p = sub.add_parser("simulate", parents=[common], help="run one experiment")
     p.add_argument("--outdir", help="output directory (overrides the config's output_dir)")
-    p.add_argument("--no-stability-guard", action="store_true",
-                   help="skip the explicit-scheme stability check "
-                        "(sets integrator.enforce_stability=false)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common], help="run a (P, Q) coupling sweep")

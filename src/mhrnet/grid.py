@@ -82,9 +82,9 @@ class Grid:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "extents", extents)
         if len(cells) not in (1, 2):
-            raise ValueError("grid dimension must be 1 or 2, got %d" % len(cells))
+            raise ValueError("grid.cells must have 1 or 2 entries, got %d" % len(cells))
         if len(extents) != len(cells):
-            raise ValueError("cells and extents must have matching length")
+            raise ValueError("grid.cells and grid.extents must have matching length")
         if any(L <= 0.0 for L in extents):
             raise ValueError("grid.extents must be positive, got %s" % (extents,))
         spacing = tuple(L / n for L, n in zip(extents, cells))

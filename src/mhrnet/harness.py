@@ -93,7 +93,7 @@ class InitialCondition:
 class ExperimentSpec:
     parameters: Parameters
     grid: Grid
-    config: IntegratorConfig
+    integrator: IntegratorConfig
     initial: InitialCondition = field(default_factory=InitialCondition)
     seed: int = 0
     output_dir: str = "out"
@@ -108,24 +108,13 @@ class ExperimentSpec:
         object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if "/" in self.label or os.sep in self.label:
             raise ValueError("label %r must not contain a path separator" % self.label)
-        check_stable(self.config, self.parameters, self.grid)
+        check_stable(self.integrator, self.parameters, self.grid)
 
     def echo(self):
-        """Self-contained description embedded in every report."""
-        return {
-            "parameters": dataclasses.asdict(self.parameters),
-            "grid": {"cells": list(self.grid.cells), "extents": list(self.grid.extents)},
-            "integrator": dataclasses.asdict(self.config),
-            "initial": {
-                "mode": self.initial.mode,
-                "amplitude": {k: list(v) for k, v in self.initial.amplitude.items()},
-                "smoothing_passes": self.initial.smoothing_passes,
-                "path": self.initial.path,
-            },
-            "seed": self.seed,
-            "cstar": self.cstar,
-            "label": self.label,
-        }
+        """The report's spec block: a config that rebuilds this spec but for its output_dir."""
+        spec = dataclasses.asdict(self)
+        del spec["output_dir"]
+        return spec
 
 
 @dataclass(frozen=True)
@@ -288,7 +277,7 @@ def _run_batch(specs, extra_observer=None):
     base = specs[0]
     outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    g, cfg = base.grid, base.config
+    g, cfg = base.grid, base.integrator
     consts = [compute_constants(s.parameters, g.measure, s.cstar) for s in specs]
     x = np.stack([generate_initial(s) for s in specs])
     rows = [[] for _ in specs]

@@ -9,7 +9,7 @@ The SPD tridiagonal operator I - s*L of each grid axis is LDL^T-factored
 once per (cells, s) with LAPACK dpttrf and cached; each solve is then one
 dpttrs back-substitution.  Both routines come from scipy's LAPACK extension
 module, which the first factorization loads on its own, without importing
-scipy.linalg, so only an imex-be run loads any of scipy.
+scipy or scipy.linalg, so only an imex-be run loads any of scipy.
 
 Both steppers advance a batch: B replicates of one network that share
 every parameter but the coupling strengths P and Q, held as one
@@ -24,7 +24,7 @@ import math
 import os
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -53,10 +53,6 @@ QUASI_NORM_CEILING = 1e12
 
 # an explicit-rk4 dt may use at most this fraction of stability_limit
 SAFETY = 0.9
-
-# LAPACK dpttrs, bound by the first _factor call, so a run with no implicit
-# solve loads no scipy module
-_dpttrs = None
 
 
 class BlowUpError(RuntimeError):
@@ -141,13 +137,17 @@ def _flapack():
     """scipy's LAPACK extension module scipy.linalg._flapack, loaded directly.
 
     Importing scipy.linalg would run its package __init__, which imports
-    hundreds of modules and adds about 22 MB of peak memory.  The extension
-    is loaded from its file under its full name instead, so CPython's cache
-    of extension modules hands it the very routines that scipy.linalg.lapack
-    holds, in whichever order the two are loaded.
+    hundreds of modules and adds about 22 MB of peak memory, and importing
+    scipy alone adds about 1.3 MB.  The package directory is found without
+    importing scipy, and the extension is loaded from its file under its
+    full name, so CPython's cache of extension modules hands it the very
+    routines that scipy.linalg.lapack holds, in whichever order the two are
+    loaded.
     """
-    import scipy
-    where = os.path.join(scipy.__path__[0], "linalg")
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("the imex-be scheme needs scipy, which is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
     spec = PathFinder.find_spec("scipy.linalg._flapack", [where])
     if spec is None:
         raise ImportError("scipy's LAPACK extension module _flapack is not in %s" % where)
@@ -163,12 +163,9 @@ def _factor(n, s):
     Raises ValueError if dpttrf finds it singular in floating point.  The
     factors are cached and shared, so they are made read-only.
     """
-    global _dpttrs
-    lapack = _flapack()
-    _dpttrs = lapack.dpttrs
     d = np.full(n, 1.0 + 2.0 * s)
     d[0] = d[-1] = 1.0 + s
-    d, e, info = lapack.dpttrf(d, np.full(n - 1, -s), overwrite_d=True, overwrite_e=True)
+    d, e, info = _flapack().dpttrf(d, np.full(n - 1, -s), overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise ValueError("dpttrf: I - s*L on %d cells is singular at s=%g" % (n, s))
     d.flags.writeable = e.flags.writeable = False
@@ -177,7 +174,7 @@ def _factor(n, s):
 
 def solve_banded(factors, b, overwrite_b):
     """Solve with the factors of _factor for every column of b, shape (n, k)."""
-    return _dpttrs(*factors, b, overwrite_b=overwrite_b)[0]
+    return _flapack().dpttrs(*factors, b, overwrite_b=overwrite_b)[0]
 
 
 def diffusion_step_be(f, g, eta, dt):

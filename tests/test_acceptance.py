@@ -111,7 +111,7 @@ def sync_run(tmp_path_factory):
     spec = ExperimentSpec(
         parameters=p,
         grid=g,
-        config=IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=60.0,
+        integrator=IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=60.0,
                                 observe_every=100),
         initial=InitialCondition(smoothing_passes=2),
         seed=5,
@@ -154,7 +154,7 @@ def test_criterion_4_uncoupled_contrast():
     cfg = IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=60.0, observe_every=100)
     stayed_apart = 0
     for seed in (1, 2, 3, 4, 5):
-        spec = ExperimentSpec(parameters=p, grid=g, config=cfg,
+        spec = ExperimentSpec(parameters=p, grid=g, integrator=cfg,
                               initial=InitialCondition(smoothing_passes=2),
                               seed=seed)
         x0 = generate_initial(spec)[None]
@@ -188,7 +188,7 @@ def test_criterion_5_absorbing_envelope():
         cfg = IntegratorConfig(scheme="imex-be", dt=dt, t_end=40.0,
                                observe_every=max(1, round(0.1 / dt)))
         spec = ExperimentSpec(
-            parameters=p, grid=g, config=cfg,
+            parameters=p, grid=g, integrator=cfg,
             initial=InitialCondition(
                 amplitude={c: (-amp, amp) for c in ("u", "v", "w", "rho")}),
             seed=seed,
@@ -278,7 +278,7 @@ def test_criterion_7_determinism_and_equivariance(tmp_path):
     spec = ExperimentSpec(
         parameters=Parameters(P=2.0, Q=2.0),
         grid=Grid((64,), (1.0,)),
-        config=IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=2.0,
+        integrator=IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=2.0,
                                 observe_every=100),
         initial=InitialCondition(smoothing_passes=2),
         seed=9,

@@ -13,6 +13,7 @@ import yaml
 import mhrnet
 from mhrnet.analysis import compute_constants
 from mhrnet.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_spec, load_config, main
+from mhrnet.harness import write_json
 
 
 def write_config(tmp_path, overrides=None):
@@ -91,6 +92,42 @@ class TestThresholds:
         path.write_bytes(b"\xff\xfe\x00")
         assert main(["thresholds", "--config", str(path)]) == EXIT_CONFIG
         assert "not text" in capsys.readouterr().err
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("command, override, key", [
+        (command, override, key)
+        for override, key, commands in [
+            ("grid.extent=[2.0]", "grid.extent", ("thresholds", "simulate", "sweep")),
+            ("sweep.seed=[7]", "sweep.seed", ("sweep",)),
+            ("sweep.extra=3", "sweep.extra", ("sweep",)),
+            ("integrator.foo=1", "integrator.foo", ("simulate", "sweep")),
+            ("initial.foo=1", "initial.foo", ("simulate", "sweep")),
+            ("initial=[1]", "initial", ("simulate", "sweep")),
+            ("parameters.zeta=1", "parameters.zeta", ("thresholds", "simulate", "sweep")),
+            ("sed=3", "sed", ("thresholds", "simulate", "sweep")),
+        ]
+        for command in commands
+    ])
+    def test_unknown_key_in_any_section(self, tmp_path, monkeypatch, capsys,
+                                        command, override, key):
+        # one line naming the dotted key, and nothing written
+        monkeypatch.chdir(tmp_path)
+        args = [command, "-s", override] + ([] if command == "thresholds" else ["--outdir", "out"])
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.search(r"\b%s\b" % re.escape(key), captured.err)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["default.yaml", "bursting.yaml"])
+    def test_report_spec_block_is_a_config(self, tmp_path, name):
+        with resources.as_file(resources.files("mhrnet").joinpath("data", name)) as path:
+            spec = build_spec(load_config(path), outdir=str(tmp_path / "out"))
+        write_json(tmp_path / "spec.json", spec.echo())
+        block = json.loads((tmp_path / "spec.json").read_text())
+        assert "output_dir" not in block
+        assert build_spec(block, outdir=spec.output_dir) == spec
 
 
 class TestSimulate:
@@ -247,21 +284,9 @@ class TestSimulate:
         code = main(["simulate", "--outdir", str(blocker / "out")])
         assert code == EXIT_CONFIG
 
-    def test_divergence_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "grid.cells": [64],
-            "integrator.scheme": "explicit-rk4",
-            "integrator.dt": 5e-3,
-            "integrator.t_end": 5.0,
-            "integrator.observe_every": 10,
-        })
-        code = main(["simulate", "--config", str(cfg), "--no-stability-guard",
-                     "--outdir", str(tmp_path / "out")])
-        assert code == EXIT_DIVERGED
-
     def test_stability_guard_off_by_config_key(self, tmp_path, capsys):
-        # the same run as test_divergence_exit_code, with the guard switched
-        # off through the config key instead of --no-stability-guard
+        # dt is above the explicit limit, so with the guard switched off
+        # the run diverges
         code = main(["simulate", "-s", "grid.cells=[64]", "-s", "integrator.scheme=explicit-rk4",
                      "-s", "integrator.dt=5.0e-3", "-s", "integrator.t_end=5.0",
                      "-s", "integrator.observe_every=10",
@@ -324,7 +349,7 @@ class TestSimulate:
         assert "dt: 1.0e-3" in text
         path = tmp_path / "c.yaml"
         path.write_text(text.replace("dt: 1.0e-3", "dt: 1e-4"))
-        assert build_spec(load_config(path)).config.dt == 1e-4
+        assert build_spec(load_config(path)).integrator.dt == 1e-4
 
     def test_nonfinite_initial_state_file(self, tmp_path, capsys):
         path = tmp_path / "ic.npz"
@@ -425,7 +450,7 @@ class TestScipyImport:
     def test_loaded_only_by_an_implicit_solve(self, tmp_path):
         # scipy supplies only the imex-be diffusion solve, so the commands
         # before the last run in one process without importing it; the last
-        # loads its LAPACK extension module but not scipy.linalg
+        # loads its LAPACK extension module but neither scipy nor scipy.linalg
         runs = [
             ["thresholds"],
             ["estimate-cstar", "--cells", "16", "--samples", "2"],
@@ -447,7 +472,7 @@ class TestScipyImport:
         proc = run_probe(probe, json.dumps(runs))
         results = [line for line in proc.stderr.splitlines() if not line.startswith("error:")]
         assert results == ["0 False False", "0 False False", "2 False False",
-                           "0 False False", "0 False False", "0 True False"]
+                           "0 False False", "0 False False", "0 False False"]
 
     def test_same_routines_as_scipy_linalg_imported_later(self):
         # the solver's LAPACK routines, loaded by an imex-be step, are the
@@ -464,7 +489,7 @@ class TestScipyImport:
                  "integrator.integrate(x0, [Parameters()], g, cfg)\n"
                  "assert 'scipy.linalg' not in sys.modules\n"
                  "import scipy.linalg.lapack as lapack\n"
-                 "assert integrator._dpttrs is lapack.dpttrs\n"
+                 "assert integrator._flapack().dpttrs is lapack.dpttrs\n"
                  "n, s = 16, 0.256\n"
                  "d = np.full(n, 1.0 + 2.0 * s)\n"
                  "d[0] = d[-1] = 1.0 + s\n"

@@ -30,7 +30,7 @@ def small_spec(tmp_path, **kw):
     defaults = dict(
         parameters=Parameters(P=2.0, Q=2.0),
         grid=Grid((32,), (1.0,)),
-        config=IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=0.5, observe_every=50),
+        integrator=IntegratorConfig(scheme="imex-be", dt=1e-3, t_end=0.5, observe_every=50),
         initial=InitialCondition(smoothing_passes=2),
         seed=1,
         output_dir=str(tmp_path),
@@ -44,7 +44,7 @@ class TestInitialCondition:
         ic = InitialCondition(amplitude={c: (0.3, 0.3) for c in ("u", "v", "w", "rho")})
         spec = ExperimentSpec(
             parameters=Parameters(), grid=Grid((16,), (1.0,)),
-            config=IntegratorConfig(), initial=ic,
+            integrator=IntegratorConfig(), initial=ic,
         )
         x = generate_initial(dataclasses.replace(spec, seed=5))
         assert x.shape == (2, 4, 16) and x.dtype == np.float64
@@ -52,7 +52,7 @@ class TestInitialCondition:
 
     def test_deterministic_and_seed_sensitive(self):
         spec = ExperimentSpec(parameters=Parameters(), grid=Grid((32,), (1.0,)),
-                              config=IntegratorConfig())
+                              integrator=IntegratorConfig())
         a = generate_initial(dataclasses.replace(spec, seed=7))
         b = generate_initial(dataclasses.replace(spec, seed=7))
         c = generate_initial(dataclasses.replace(spec, seed=8))
@@ -64,9 +64,9 @@ class TestInitialCondition:
 
     def test_smoothing_lowers_h1(self):
         g = Grid((64,), (1.0,))
-        rough = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig(),
+        rough = ExperimentSpec(parameters=Parameters(), grid=g, integrator=IntegratorConfig(),
                                seed=1)
-        smooth = ExperimentSpec(parameters=Parameters(), grid=g, config=IntegratorConfig(),
+        smooth = ExperimentSpec(parameters=Parameters(), grid=g, integrator=IntegratorConfig(),
                                 initial=InitialCondition(smoothing_passes=5), seed=1)
         h1_rough = seminorm_h1(generate_initial(rough)[0, 0], g)
         h1_smooth = seminorm_h1(generate_initial(smooth)[0, 0], g)
@@ -76,7 +76,7 @@ class TestInitialCondition:
         ic = InitialCondition(mode="constant-offset",
                               amplitude={c: (0.0, 1.0) for c in ("u", "v", "w", "rho")})
         spec = ExperimentSpec(parameters=Parameters(m=3), grid=Grid((8,), (1.0,)),
-                              config=IntegratorConfig(), initial=ic)
+                              integrator=IntegratorConfig(), initial=ic)
         x = generate_initial(spec)
         assert x.dtype == np.float64
         assert np.allclose(x[0, 0], 0.0)
@@ -90,7 +90,7 @@ class TestInitialCondition:
         path = tmp_path / "ic.npz"
         np.savez(path, state=state)
         spec = ExperimentSpec(
-            parameters=Parameters(), grid=g, config=IntegratorConfig(),
+            parameters=Parameters(), grid=g, integrator=IntegratorConfig(),
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         x = generate_initial(spec)
@@ -106,7 +106,7 @@ class TestInitialCondition:
         np.savez(path, state=np.zeros((2, 4, 8)))
         spec = ExperimentSpec(
             parameters=Parameters(), grid=Grid((16,), (1.0,)),
-            config=IntegratorConfig(),
+            integrator=IntegratorConfig(),
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ class TestInitialCondition:
         np.savez(path, state=state)
         spec = ExperimentSpec(
             parameters=Parameters(), grid=Grid((16,), (1.0,)),
-            config=IntegratorConfig(),
+            integrator=IntegratorConfig(),
             initial=InitialCondition(mode="from-file", path=str(path)),
         )
         with pytest.raises(ValueError, match=message):
@@ -217,7 +217,7 @@ class TestRunExperiment:
         g = Grid((16,), (1.0,))
         dc = compute_constants(Parameters(), g.measure, 1.0)
         spec = small_spec(tmp_path, parameters=Parameters(P=dc.Pmin, Q=dc.Qmin), grid=g,
-                          config=IntegratorConfig(dt=1e-3, t_end=0.01))
+                          integrator=IntegratorConfig(dt=1e-3, t_end=0.01))
         report = run_experiment(spec).report
         th = report["thresholds"]
         assert (th["P"], th["Q"]) == (th["Pmin"], th["Qmin"])
@@ -271,7 +271,7 @@ class TestRunExperiment:
         spec = small_spec(
             tmp_path,
             parameters=Parameters(),
-            config=IntegratorConfig(scheme="explicit-rk4", dt=5e-3, t_end=5.0,
+            integrator=IntegratorConfig(scheme="explicit-rk4", dt=5e-3, t_end=5.0,
                                     observe_every=10, enforce_stability=False),
             initial=InitialCondition(
                 amplitude={c: (-1.0, 1.0) for c in ("u", "v", "w", "rho")}),
@@ -290,7 +290,7 @@ class TestRunExperiment:
         # m = 17 records only gap_max/gap_mean; the verdict reads gap_max
         res = run_experiment(small_spec(
             tmp_path, parameters=Parameters(P=2.0, Q=2.0, m=17),
-            config=IntegratorConfig(dt=1e-2, t_end=t_end, observe_every=50)))
+            integrator=IntegratorConfig(dt=1e-2, t_end=t_end, observe_every=50)))
         header = res.timeseries_path.read_text().splitlines()[0].split(",")
         assert "gap_max" in header and "gap_1_2" not in header
         assert res.report["verdict"] == verdict
@@ -303,7 +303,7 @@ def test_reports_fit_without_least_squares_solvers(tmp_path, monkeypatch):
     # the rate fits are closed-form lines: with numpy's least-squares
     # solvers refused, a run and a two-cell sweep give the same verdicts
     config = IntegratorConfig(dt=1e-3, t_end=0.5, observe_every=10)
-    spec = small_spec(tmp_path, parameters=Parameters(m=3), config=config)
+    spec = small_spec(tmp_path, parameters=Parameters(m=3), integrator=config)
 
     def reports(out):
         solo = run_experiment(dataclasses.replace(spec, output_dir=str(out / "solo"))).report
@@ -352,7 +352,7 @@ class TestRunSweep:
     def test_cells_byte_identical_to_solo_runs(self, tmp_path, grid, config):
         # P = 0 leaves u uncoupled, P = 12 is above Pmin = 10.6875, and Q = 0
         # leaves rho uncoupled: the batch mixes no-op and damping substeps
-        base = small_spec(tmp_path / "sweep", grid=grid, config=config)
+        base = small_spec(tmp_path / "sweep", grid=grid, integrator=config)
         sweep = SweepSpec(base=base, P_values=(0.0, 12.0), Q_values=(0.0, 2.0), seeds=(1, 2))
         _, report = run_sweep(sweep)
         assert sorted(c["P"] > report["Pmin"] for c in report["cells"]) == [False] * 2 + [True] * 2
@@ -366,7 +366,7 @@ class TestRunSweep:
         # stops them at step 5.  The rest synchronize over all 55 steps.
         base = small_spec(
             tmp_path / "sweep", parameters=Parameters(), grid=Grid((16,), (1.0,)),
-            config=IntegratorConfig(dt=0.55, t_end=30.0, observe_every=observe_every),
+            integrator=IntegratorConfig(dt=0.55, t_end=30.0, observe_every=observe_every),
             initial=InitialCondition(amplitude={"u": (-5.0, 5.0)}, smoothing_passes=2))
         sweep = SweepSpec(base=base, P_values=(0.0, 12.0), Q_values=(1.0,), seeds=(1, 4, 5, 8))
         _, report = run_sweep(sweep)
@@ -399,7 +399,7 @@ class TestRunSweep:
         assert cell_csv.read_bytes() == solo.timeseries_path.read_bytes()
 
     def test_close_P_values_get_distinct_cells(self, tmp_path):
-        base = small_spec(tmp_path, config=IntegratorConfig(dt=1e-3, t_end=0.01))
+        base = small_spec(tmp_path, integrator=IntegratorConfig(dt=1e-3, t_end=0.01))
         sweep = SweepSpec(base=base, P_values=(10.0000001, 10.0000002),
                           Q_values=(1.0,), seeds=(1,))
         _, report = run_sweep(sweep)
@@ -411,9 +411,9 @@ class TestRunSweep:
         # base and each of its runs is made from fails before any run starts
         unstable = IntegratorConfig(scheme="explicit-rk4", dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError, match="stability_limit"):
-            small_spec(tmp_path, config=unstable)
+            small_spec(tmp_path, integrator=unstable)
         with pytest.raises(ValueError, match="stability_limit"):
-            dataclasses.replace(small_spec(tmp_path), config=unstable)
+            dataclasses.replace(small_spec(tmp_path), integrator=unstable)
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key", ["P", "Q"])

@@ -245,7 +245,7 @@ class TestImplicitDiffusion:
 
     def test_lapack_module_missing_named(self, monkeypatch, tmp_path):
         # the loader is cached, so its uncached body is called directly
-        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        monkeypatch.setattr(scipy.__spec__, "submodule_search_locations", [str(tmp_path)])
         with pytest.raises(ImportError, match="_flapack is not in %s"
                            % re.escape(str(tmp_path / "linalg"))):
             _flapack.__wrapped__()
