@@ -12,7 +12,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import _check_field, _integral, norm_l2, norm_l4, seminorm_h1, smooth_field
+from .grid import (
+    SEED_MAX,
+    _check_field,
+    _integral,
+    integer,
+    norm_l2,
+    norm_l4,
+    seminorm_h1,
+    smooth_field,
+    uniform,
+)
 
 __all__ = [
     "DerivedConstants",
@@ -250,7 +260,8 @@ def check_absorbing_envelope(times, energies, dc):
 def estimate_gn_constant(g, n_samples=64, seed=0, smoothing_time=2e-3):
     """Empirical lower bound for the interpolation constant C* of the grid.
 
-    Draws seeded random fields, smooths each one over a fixed physical
+    Draws seeded random fields, sample j the grid.uniform stream of the key
+    (seed, j) in [-1, 1), smooths each one over a fixed physical
     diffusion time (so the estimate is stable under grid refinement), and
     maximizes ||R||_L4^2 / (|R|_H1^(2*theta) * ||R||_L2^(2*(1-theta))) with
     theta = dim/4.  The ratio is invariant under rescaling of R.  Fields
@@ -258,13 +269,13 @@ def estimate_gn_constant(g, n_samples=64, seed=0, smoothing_time=2e-3):
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    seed = integer("seed", seed, 0, SEED_MAX)
     theta = g.dim / 4.0
     h_min = min(g.spacing)
     passes = max(1, int(round(smoothing_time / (h_min * h_min / 8.0))))
-    rng = np.random.default_rng(seed)
     best = None
-    for _ in range(n_samples):
-        f = rng.uniform(-1.0, 1.0, size=g.shape)
+    for j in range(n_samples):
+        f = uniform((seed, j), -1.0, 1.0, g.shape)
         f = smooth_field(f, g, passes)
         grad = float(seminorm_h1(f, g))
         l2 = float(norm_l2(f, g))

@@ -38,15 +38,32 @@ class ConfigError(Exception):
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e-4 and 1.0e5.
+    """SafeLoader that reads plain numbers as YAML 1.2 does.
 
-    YAML 1.1 needs a dot and a signed exponent, so it reads those as strings.
+    1e-4 and 1.0e5 are floats; YAML 1.1 needs a dot and a signed exponent,
+    so it reads those as strings.  010 and 1:30 are strings, which a key
+    that needs a number refuses; YAML 1.1 reads them as octal 8 and
+    base-60 90.
     """
 
 
+_NUMBER_TAGS = ("tag:yaml.org,2002:int", "tag:yaml.org,2002:float")
+_Loader.yaml_implicit_resolvers = {
+    first: [(tag, regexp) for tag, regexp in resolvers if tag not in _NUMBER_TAGS]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+}
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:int",
+    re.compile(r"^[-+]?(?:0b[0-1_]+|0|[1-9][0-9_]*|0x[0-9a-fA-F_]+)$"),
+    list("-+0123456789"),
+)
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    re.compile(r"""^(?:[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?
+                   |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+                   |[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+
+                   |[-+]?\.(?:inf|Inf|INF)
+                   |\.(?:nan|NaN|NAN))$""", re.X),
     list("-+0123456789."),
 )
 
@@ -154,9 +171,9 @@ def build_spec(cfg, outdir=None):
                           **_section(cfg, "integrator", _names(IntegratorConfig))),
         initial=_build(InitialCondition, **_section(cfg, "initial", _names(InitialCondition))),
         seed=cfg.get("seed", 0),
-        output_dir=str(outdir or cfg.get("output_dir") or "out"),
+        output_dir=outdir or cfg.get("output_dir", "out"),
         cstar=cfg.get("cstar", 1.0),
-        label=str(cfg.get("label", "run")),
+        label=cfg.get("label", "run"),
     )
     if spec.initial.mode == "from-file":
         # read and check the state file now, so a bad one is a config error

@@ -7,7 +7,8 @@ operator here acts on the trailing grid axes only.  All quadrature is the
 midpoint rule.  A grid's spacing and cell volume are fixed when it is
 built.  The Laplacian reads each cell's neighbours through clamped index
 arrays, cached per axis length, so the boundary cells see themselves as
-their ghost neighbours without padding the field.
+their ghost neighbours without padding the field.  Random fields come
+from `uniform`, a counter-based SplitMix64 stream.
 """
 
 import functools
@@ -26,6 +27,7 @@ __all__ = [
     "seminorm_h1",
     "energy_functional",
     "smooth_field",
+    "uniform",
     "real",
     "integer",
 ]
@@ -45,15 +47,52 @@ def real(name, value):
     return value
 
 
-def integer(name, value, low):
-    """value as an int >= low; a ValueError naming `name` for anything else.
+def integer(name, value, low, high=None):
+    """value as an int >= low (and <= high); a ValueError naming `name` for anything else.
 
     Booleans, strings, fractions and non-finite values are refused.
     """
     if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
             or not math.isfinite(value) or value != int(value) or value < low):
         raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+    if high is not None and value > high:
+        raise ValueError("%s must be an integer <= %d, got %r" % (name, high, value))
     return int(value)
+
+
+# SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): its increment, the golden ratio in 64 bits, and
+# the largest seed a stream key holds
+_GAMMA = 0x9E3779B97F4A7C15
+SEED_MAX = (1 << 64) - 1
+
+
+def _mix64(z):
+    """The SplitMix64 finalizer of z, a Python int or a uint64 array, modulo 2**64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & SEED_MAX
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & SEED_MAX
+    return z ^ (z >> 31)
+
+
+def uniform(key, lo, hi, shape):
+    """An array of shape of uniform samples in [lo, hi) from the stream of key.
+
+    key is a tuple of integers in [0, 2**64), such as (seed, neuron,
+    component); each one is folded into a 64-bit state k as one SplitMix64
+    step from k xor n.  Sample c (in row-major order) is the finalizer of
+    k + (c + 1) * gamma, whose top 53 bits, times 2**-53, give u in [0, 1)
+    exactly; the sample is lo + (hi - lo) * u, the affine map of numpy's
+    Generator.uniform, which rounding can take to hi.  The arithmetic is
+    integer but for that one map, so the bits do not depend on the CPU's
+    SIMD level, and a sample does not depend on how many are drawn.
+    """
+    k = 0
+    for n in key:
+        k = _mix64(((k ^ n) + _GAMMA) & SEED_MAX)
+    c = np.arange(1, math.prod(shape) + 1, dtype=np.uint64)
+    z = _mix64(c * np.uint64(_GAMMA) + np.uint64(k))
+    u = (z >> np.uint64(11)).astype(float) * 2.0 ** -53
+    return (lo + (hi - lo) * u).reshape(shape)
 
 
 class InvalidFieldError(ValueError):

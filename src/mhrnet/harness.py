@@ -26,7 +26,7 @@ from .analysis import (
     fit_decay_rate,
     pairwise_gap,
 )
-from .grid import Grid, energy_functional, norm_l2, norm_l4, smooth_field
+from .grid import SEED_MAX, Grid, energy_functional, norm_l2, norm_l4, smooth_field, uniform
 from .integrator import IntegratorConfig, check_stable, integrate, step_count
 from .model import COMPONENTS, NetworkState, Parameters, integer, real
 
@@ -81,6 +81,9 @@ class InitialCondition:
             lo, hi = real(name, box[0]), real(name, box[1])
             if hi < lo:
                 raise ValueError("bad %s: (%r, %r)" % (name, lo, hi))
+            if not math.isfinite(hi - lo):
+                raise ValueError("%s is too wide: hi - lo overflows, got (%r, %r)"
+                                 % (name, lo, hi))
             amp[comp] = (lo, hi)
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "smoothing_passes",
@@ -105,7 +108,11 @@ class ExperimentSpec:
         if not cstar > 0:
             raise ValueError("cstar must be positive and finite")
         object.__setattr__(self, "cstar", cstar)
-        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, SEED_MAX))
+        for name in ("label", "output_dir"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError("%s must be a non-empty string, got %r" % (name, value))
         if "/" in self.label or os.sep in self.label:
             raise ValueError("label %r must not contain a path separator" % self.label)
         check_stable(self.integrator, self.parameters, self.grid)
@@ -162,8 +169,9 @@ def generate_initial(spec):
     """The deterministic initial state of spec, a float (m, 4, *cells) array.
 
     uniform-random: per-component uniform samples in the amplitude box,
-    then smoothing_passes diffusion passes; each neuron draws from its own
-    substream of spec.seed.  constant-offset: neuron i gets the constant
+    then smoothing_passes diffusion passes; the field of neuron i and
+    component k is the grid.uniform stream of the key (seed, i, k), so it
+    does not depend on m.  constant-offset: neuron i gets the constant
     lo + (hi - lo) * i / (m - 1) per component.  from-file: loads an npz
     with a finite numeric array 'state' of shape (m, 4, *cells).
     """
@@ -195,10 +203,9 @@ def generate_initial(spec):
                 x[i, k] = lo + (hi - lo) * (i / (p.m - 1))
         return x
     for i in range(p.m):
-        rng = np.random.default_rng([spec.seed, i])
         for k, comp in enumerate(COMPONENTS):
             lo, hi = ic.amplitude[comp]
-            x[i, k] = rng.uniform(lo, hi, size=g.shape)
+            x[i, k] = uniform((spec.seed, i, k), lo, hi, g.shape)
     return smooth_field(x, g, ic.smoothing_passes)
 
 

@@ -12,7 +12,15 @@ import yaml
 
 import mhrnet
 from mhrnet.analysis import compute_constants
-from mhrnet.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_spec, load_config, main
+from mhrnet.cli import (
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_OK,
+    apply_overrides,
+    build_spec,
+    load_config,
+    main,
+)
 from mhrnet.harness import write_json
 
 
@@ -120,6 +128,35 @@ class TestConfigReader:
         assert re.search(r"\b%s\b" % re.escape(key), captured.err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, override, problem", [
+        # YAML 1.1 would read these as octal 8 and base-60 90
+        ("simulate", "parameters.m=010", "parameter 'm' must be an integer"),
+        ("thresholds", "parameters.m=010", "parameter 'm' must be an integer"),
+        ("simulate", "seed=1:30", "seed must be an integer"),
+        ("sweep", "seed=1:30", "seed must be an integer"),
+        ("simulate", "integrator.dt=1:30.0", "dt must be a number"),
+        ("simulate", "seed=18446744073709551616", "seed must be an integer <="),
+        ("simulate", "label=null", "label must be a non-empty string"),
+        ("simulate", "label=yes", "label must be a non-empty string"),
+        ("simulate", 'label=""', "label must be a non-empty string"),
+        ("sweep", "label=7", "label must be a non-empty string"),
+        ("simulate", "output_dir=0", "output_dir must be a non-empty string"),
+        ("simulate", "output_dir=false", "output_dir must be a non-empty string"),
+        ("sweep", "output_dir=null", "output_dir must be a non-empty string"),
+    ])
+    def test_value_of_wrong_kind_refused(self, tmp_path, monkeypatch, capsys,
+                                         command, override, problem):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "-s", override]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert problem in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outdir_overrides_config_output_dir(self):
+        cfg = apply_overrides(load_config(None), ["output_dir=0"])
+        assert build_spec(cfg, outdir="elsewhere").output_dir == "elsewhere"
+
     @pytest.mark.parametrize("name", ["default.yaml", "bursting.yaml"])
     def test_report_spec_block_is_a_config(self, tmp_path, name):
         with resources.as_file(resources.files("mhrnet").joinpath("data", name)) as path:
@@ -212,6 +249,7 @@ class TestSimulate:
         ('initial.amplitude.u=["-1","1"]', "amplitude box for 'u' must be a number"),
         ("initial.amplitude.u=[true, 2]", "amplitude box for 'u' must be a number"),
         ("initial.amplitude.x=[1, 2]", "unknown initial.amplitude component(s) x"),
+        ("initial.amplitude.u=[-1.0e308, 1.0e308]", "amplitude box for 'u' is too wide"),
     ])
     def test_bad_amplitude_rejected(self, tmp_path, capsys, override, problem):
         code = main(["simulate", "-s", override, "--outdir", str(tmp_path / "out")])
@@ -464,15 +502,19 @@ class TestScipyImport:
             ["simulate", "-s", "grid.cells=[16]", "-s", "integrator.t_end=0.01",
              "--outdir", str(tmp_path / "imex")],
         ]
+        # no run imports numpy.random, nor the OpenSSL module _hashlib that
+        # numpy.random brings in through secrets and hmac
         probe = ("import json, sys\n"
                  "from mhrnet.cli import main\n"
                  "for argv in json.loads(sys.argv[1]):\n"
-                 "    print(main(argv), 'scipy' in sys.modules, 'scipy.linalg' in sys.modules,\n"
+                 "    print(main(argv), *(name in sys.modules for name in\n"
+                 "          ('scipy', 'scipy.linalg', 'numpy.random', '_hashlib')),\n"
                  "          file=sys.stderr)\n")
         proc = run_probe(probe, json.dumps(runs))
         results = [line for line in proc.stderr.splitlines() if not line.startswith("error:")]
-        assert results == ["0 False False", "0 False False", "2 False False",
-                           "0 False False", "0 False False", "0 False False"]
+        assert results == ["0 False False False False", "0 False False False False",
+                           "2 False False False False", "0 False False False False",
+                           "0 False False False False", "0 False False False False"]
 
     def test_same_routines_as_scipy_linalg_imported_later(self):
         # the solver's LAPACK routines, loaded by an imex-be step, are the
@@ -588,6 +630,12 @@ class TestEstimateCstar:
 
     def test_zero_samples_rejected(self, capsys):
         assert main(["estimate-cstar", "--cells", "32", "--samples", "0"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seed, problem", [("-1", ">= 0"), ("18446744073709551616", "<=")])
+    def test_seed_outside_stream_keys_rejected(self, capsys, seed, problem):
+        assert main(["estimate-cstar", "--cells", "32", "--seed", seed]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be an integer " + problem in err
 
     def test_bad_grid_rejected(self, capsys):
         assert main(["estimate-cstar", "--cells", "1"]) == EXIT_CONFIG

@@ -12,6 +12,7 @@ from mhrnet.grid import (
     norm_l4,
     seminorm_h1,
     smooth_field,
+    uniform,
 )
 
 
@@ -285,3 +286,45 @@ def test_smoothing_reduces_h1_monotonically():
         f = smooth_field(f, g, 1)
         norms.append(seminorm_h1(f, g))
     assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def test_uniform_key_zero_is_reference_splitmix64():
+    # the empty key is state 0, whose first outputs are the published
+    # SplitMix64 sequence; over [0, 2**53) a sample is its top 53 bits
+    x = uniform((), 0.0, 2.0 ** 53, (3,))
+    assert x.tolist() == [z >> 11 for z in (
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)]
+
+
+def test_uniform_known_answer():
+    # the first samples of the stream (seed 1, neuron 0, component u): an
+    # edit that moves them moves every seeded run
+    assert uniform((1, 0, 0), -1.0, 1.0, (3,)).tolist() == [
+        0.7695796330698264, -0.19366524200780155, 0.6765298431623388]
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-5.0, 5.0), (0.25, 0.5), (-3.0, -2.0)])
+def test_uniform_values_in_box(lo, hi):
+    x = uniform((7, 2), lo, hi, (64, 48))
+    assert x.shape == (64, 48) and x.dtype == np.float64
+    assert lo <= x.min() and x.max() < hi
+
+
+def test_uniform_degenerate_box_is_lo():
+    assert np.all(uniform((3, 1, 2), 0.3, 0.3, (17,)) == 0.3)
+
+
+def test_uniform_repeatable_and_keyed():
+    a = uniform((9, 1, 2), -1.0, 1.0, (40,))
+    assert np.array_equal(a, uniform((9, 1, 2), -1.0, 1.0, (40,)))
+    # a sample does not depend on how many are drawn or on the shape
+    assert np.array_equal(a[:10], uniform((9, 1, 2), -1.0, 1.0, (10,)))
+    assert np.array_equal(a, uniform((9, 1, 2), -1.0, 1.0, (5, 8)).ravel())
+    for key in ((9, 1, 3), (9, 2, 2), (10, 1, 2), (9, 1), (9, 1, 2, 0)):
+        assert not np.array_equal(a, uniform(key, -1.0, 1.0, (40,)))
+
+
+def test_uniform_mean_near_half():
+    n = 1 << 16
+    mean = uniform((3,), 0.0, 1.0, (n,)).mean()
+    assert abs(mean - 0.5) < 4.0 / math.sqrt(12.0 * n)

@@ -48,7 +48,22 @@ class TestInitialCondition:
         )
         x = generate_initial(dataclasses.replace(spec, seed=5))
         assert x.shape == (2, 4, 16) and x.dtype == np.float64
-        assert np.allclose(x, 0.3)
+        assert np.all(x == 0.3)
+
+    def test_known_answer(self):
+        # neuron 0's u field of seed 1 is the stream of the key (1, 0, 0)
+        spec = ExperimentSpec(parameters=Parameters(), grid=Grid((16,), (1.0,)),
+                              integrator=IntegratorConfig(), seed=1)
+        assert generate_initial(spec)[0, 0, :3].tolist() == [
+            0.7695796330698264, -0.19366524200780155, 0.6765298431623388]
+
+    def test_neuron_fields_do_not_depend_on_m(self):
+        spec = ExperimentSpec(parameters=Parameters(), grid=Grid((12, 10), (1.0, 1.0)),
+                              integrator=IntegratorConfig(),
+                              initial=InitialCondition(smoothing_passes=2), seed=3)
+        x2 = generate_initial(spec)
+        x5 = generate_initial(dataclasses.replace(spec, parameters=Parameters(m=5)))
+        assert np.array_equal(x5[:2], x2)
 
     def test_deterministic_and_seed_sensitive(self):
         spec = ExperimentSpec(parameters=Parameters(), grid=Grid((32,), (1.0,)),
@@ -362,8 +377,9 @@ class TestRunSweep:
     def test_diverging_runs_leave_the_batch(self, tmp_path, observe_every):
         # dt = 0.55 with u drawn from [-5, 5]: most runs overflow within ten
         # steps, some only when uncoupled.  Observed every 10 steps they turn
-        # non-finite at steps 7 and 8; every 5 steps, the quasi-norm ceiling
-        # stops them at step 5.  The rest synchronize over all 55 steps.
+        # non-finite at steps 7, 8 and 9; every 5 steps, the quasi-norm
+        # ceiling stops all but one at step 5, and that one turns non-finite
+        # at step 9.  The rest synchronize over all 55 steps.
         base = small_spec(
             tmp_path / "sweep", parameters=Parameters(), grid=Grid((16,), (1.0,)),
             integrator=IntegratorConfig(dt=0.55, t_end=30.0, observe_every=observe_every),
@@ -381,7 +397,7 @@ class TestRunSweep:
         finished = {s for v, s in steps.values() if v != "diverged"}
         diverged = {s for v, s in steps.values() if v == "diverged"}
         assert finished == {55}
-        assert diverged == ({5} if observe_every == 5 else {7, 8})
+        assert diverged == ({5, 9} if observe_every == 5 else {7, 8, 9})
         assert assert_cells_match_solo_runs(tmp_path, base, report) == 8
 
     def test_single_cell_matches_simulate(self, tmp_path):
